@@ -7,7 +7,8 @@
 //! [`ArtifactStore`] pins one canonical `(dataset, model seed, trainer
 //! seed)` triple per [`BaselineKind`] and caches the trained result, so
 //!
-//! * a standalone binary gets its references lazily on first use, and
+//! * a job run without its `baseline:*` dependency gets its references
+//!   lazily on first use, and
 //! * the `alf-lab` DAG runs each `baseline:*` job once, after which every
 //!   consumer job hits the cache — asserted end-to-end through
 //!   [`ArtifactStore::train_counts`].

@@ -1,8 +1,8 @@
-//! The one command-line parser shared by every bench binary and the
+//! The one command-line parser shared by the bench binaries and the
 //! `alf-lab` campaign runner.
 //!
-//! Before this module each experiment binary re-parsed `std::env::args`
-//! by hand; now all of them (and `alf-lab`) accept the same surface:
+//! Every experiment runs through `alf-lab`, which accepts this surface
+//! (the `*_bench` binaries take its `--scale` half):
 //!
 //! * `--scale {smoke|paper}` or the shorthands `--smoke` / `--paper`
 //!   (default: smoke);
@@ -31,8 +31,8 @@ impl Scale {
     /// Defaults to smoke.
     ///
     /// This is the workspace's only scale parser (`scripts/verify.sh`
-    /// grep-gates that it stays the single definition); binaries that
-    /// need the rest of the shared surface use [`BenchArgs::parse`],
+    /// grep-gates that it stays the single definition); callers that
+    /// need the rest of the shared surface use [`BenchArgs::from_argv`],
     /// which routes through the same argv logic.
     ///
     /// # Panics
@@ -97,13 +97,6 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`, exiting with a message on malformed input
-    /// (the behaviour every bench binary previously hand-rolled).
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_argv(&argv).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Parses an explicit argv slice.
     ///
     /// # Errors

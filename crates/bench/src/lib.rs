@@ -1,9 +1,10 @@
-//! Shared infrastructure for the experiment binaries and the `alf-lab`
-//! campaign runner.
+//! Shared infrastructure for the `alf-lab` campaign runner and the
+//! `*_bench` performance binaries.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/`:
+//! Every table and figure of the paper is an `alf-lab` job, run on its own
+//! with `alf-lab run --only <id>`:
 //!
-//! | artefact  | binary              |
+//! | artefact  | job id              |
 //! |-----------|---------------------|
 //! | Fig. 2a   | `fig2a`             |
 //! | Fig. 2b   | `fig2b`             |
@@ -12,17 +13,16 @@
 //! | Fig. 3    | `fig3`              |
 //! | Table III | `table3`            |
 //! | headline  | `headline`          |
+//! | sensitivity | `sensitivity`     |
 //! | ablations | `ablation_ste`, `ablation_nuprune`, `ablation_dataflow`, `ablation_fusion`, `ablation_quant` |
 //!
 //! The experiment *bodies* live in [`jobs`] as functions from a typed
-//! context to a structured [`report::JobResult`]; the binaries are thin
-//! wrappers that parse [`cli::BenchArgs`], run one job against a fresh
-//! [`artifacts::ArtifactStore`], print the text report and drop
-//! `results/<job>.{txt,json}`. `alf-lab` runs the same jobs as one
+//! context to a structured [`report::JobResult`], rendered to
+//! `results/<job>.{txt,json}`. `alf-lab` runs them as one
 //! dependency-scheduled campaign in which the shared baseline trainings
 //! of [`artifacts`] happen exactly once.
 //!
-//! All binaries accept `--scale smoke` (default; seconds) or
+//! Every entry point accepts `--scale smoke` (default; seconds) or
 //! `--scale paper` (the full sweep; minutes to hours on a laptop).
 
 #![forbid(unsafe_code)]

@@ -109,8 +109,29 @@ pub fn im2col_into(dst: &mut [f32], input: &Tensor, spec: Conv2dSpec) -> Result<
             ),
         ));
     }
-    dst.fill(0.0);
-    let src = input.data();
+    unfold(dst, input.data(), n, ci, h, w, spec);
+    Ok(())
+}
+
+/// The im2col loop nest shared by the f32 ([`im2col_into`]) and int8
+/// ([`super::im2col_i8_into`]) lowerings: zeroes `dst` (padding taps are
+/// never stored), then copies every in-bounds tap of the `NCHW` buffer
+/// `src` into the `[ci·k·k, n·h_out·w_out]` column matrix. Callers check
+/// the buffer lengths.
+#[allow(clippy::too_many_arguments)] // the conv geometry, spelled out
+pub(super) fn unfold<T: Copy + Default>(
+    dst: &mut [T],
+    src: &[T],
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+) {
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let cols = n * ho * wo;
+    dst.fill(T::default());
     for b in 0..n {
         for c in 0..ci {
             let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
@@ -136,7 +157,6 @@ pub fn im2col_into(dst: &mut [f32], input: &Tensor, spec: Conv2dSpec) -> Result<
             }
         }
     }
-    Ok(())
 }
 
 /// Folds a column matrix back into an `NCHW` tensor, *accumulating*

@@ -37,10 +37,9 @@
 //! never touches a dead panel — elision happens while panels are built,
 //! not as a pre-pass copy of a compacted operand. [`ActiveRows`] is the
 //! workspace-wide descriptor of which rows survive a clipped ALF mask;
-//! [`gemm_active_rows_into`] and [`gemm_active_k_into`] are the sparse
-//! entry points, and [`gemm_sparse_lhs_into`] (scan-based, for operands
-//! whose sparsity is discovered rather than declared) rides the same
-//! driver.
+//! [`gemm_active_rows_into`] and [`gemm_active_k_into`] are the only
+//! sparse entry points: sparsity is always declared by the caller, never
+//! discovered by scanning an operand.
 //!
 //! Threading partitions the `m` dimension into contiguous multiples of
 //! `MC` (one chunk per worker, spawned per `(NC, KC)` block through the
@@ -52,7 +51,7 @@
 //! threshold so small products (the common case inside per-layer training
 //! steps) never pay thread-spawn latency.
 //!
-//! All scratch (packing panels, sparse-compaction buffers) comes from the
+//! All scratch (packing panels, compact sparse results) comes from the
 //! caller's [`Workspace`], so steady-state calls are allocation-free.
 
 use super::workspace::Workspace;
@@ -85,11 +84,6 @@ pub const MAX_THREADS: usize = 8;
 /// the one core and pay spawn/join on top (the scaling regression the
 /// gemm benchmark records as `engaged_threads`).
 const PAR_FLOP_THRESHOLD: f64 = 8.0e6;
-
-/// Minimum fraction of all-zero LHS rows (in eighths) for
-/// [`gemm_sparse_lhs_into`] to take the gathered path; below this the
-/// row-map indirection and `C` scatter cost more than they save.
-const SPARSE_MIN_ZERO_EIGHTHS: usize = 1;
 
 /// The set of surviving (unpruned) rows of a masked operand.
 ///
@@ -306,13 +300,12 @@ pub fn gemm_into(
 /// other row of `C` is written as exact `0.0`, regardless of what `A`
 /// holds there.
 ///
-/// This is the declared-sparsity sibling of [`gemm_sparse_lhs_into`]: the
-/// caller (an ALF block with a clipped mask) already knows which rows
-/// survive, so no scan happens and — crucially for the backward pass —
-/// the *skipped rows need not be zero in `A`*. The code-conv forward uses
-/// it to skip pruned weight rows; the backward weight-gradient GEMM uses
-/// it (with `tb = true`) to never compute gradient rows the mask-gated
-/// STE would discard anyway.
+/// The caller (an ALF block with a clipped mask) already knows which rows
+/// survive, so no scan of `A` happens and — crucially for the backward
+/// pass — the *skipped rows need not be zero in `A`*. The code-conv
+/// forward uses it to skip pruned weight rows; the backward
+/// weight-gradient GEMM uses it (with `tb = true`) to never compute
+/// gradient rows the mask-gated STE would discard anyway.
 ///
 /// Surviving rows are bitwise identical to what the dense kernel would
 /// produce for them: the row gather changes *which* rows are packed, not
@@ -679,68 +672,6 @@ fn pack_b(
     }
 }
 
-/// `C = A · B` where `A` (`[m,k]`, non-transposed) is expected to contain
-/// all-zero rows — the masked `Wcode` weight matrix of an ALF block, whose
-/// pruned code channels zero out whole rows.
-///
-/// Scans `A` once for all-zero rows, then runs the blocked driver with a
-/// row gather over the survivors — pruned rows are skipped at panel-pack
-/// time, exactly like [`gemm_active_rows_into`] — and scatters the compact
-/// result back; zero rows of `C` are written directly. Falls back to the
-/// dense kernel when fewer than 1/8 of the rows are zero, where the gather
-/// indirection and scatter outweigh the skipped flops (see the
-/// `sparse_vs_dense` micro-benchmark in `crates/bench`).
-///
-/// # Panics
-///
-/// Panics when a buffer length disagrees with the stated dimensions.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature
-pub fn gemm_sparse_lhs_into(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-    threads: usize,
-) {
-    assert_eq!(c.len(), m * n, "gemm_sparse_lhs: C buffer is not [{m}x{n}]");
-    assert_eq!(a.len(), m * k, "gemm_sparse_lhs: A buffer is not [{m}x{k}]");
-    assert_eq!(b.len(), k * n, "gemm_sparse_lhs: B buffer is not [{k}x{n}]");
-    let mut rows = ws.take_idx("gemm_sparse_rows", m);
-    for i in 0..m {
-        if a[i * k..(i + 1) * k].iter().any(|&v| v != 0.0) {
-            rows.push(i);
-        }
-    }
-    let zero_rows = m - rows.len();
-    if zero_rows * 8 < m * SPARSE_MIN_ZERO_EIGHTHS {
-        ws.give_idx("gemm_sparse_rows", rows);
-        gemm_into(c, a, false, b, false, m, k, n, ws, threads);
-        return;
-    }
-    c.fill(0.0);
-    if rows.is_empty() || k == 0 || n == 0 {
-        ws.give_idx("gemm_sparse_rows", rows);
-        return;
-    }
-    let live = rows.len();
-    let mut cc = ws.take("gemm_sparse_c", live * n);
-    let gather = Gather {
-        rmap: Some(&rows),
-        kmap: None,
-        am: m,
-        ak: k,
-    };
-    gemm_driver(&mut cc, a, false, b, false, live, k, n, ws, threads, gather);
-    for (ri, &i) in rows.iter().enumerate() {
-        c[i * n..(i + 1) * n].copy_from_slice(&cc[ri * n..(ri + 1) * n]);
-    }
-    ws.give("gemm_sparse_c", cc);
-    ws.give_idx("gemm_sparse_rows", rows);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,72 +847,6 @@ mod tests {
             );
         }
         assert_eq!(ws.alloc_events(), warm);
-    }
-
-    #[test]
-    fn sparse_lhs_matches_dense_on_masked_rows() {
-        let mut rng = Rng::new(21);
-        for &(m, k, n, stride) in &[(16, 9, 12, 2), (33, 20, 7, 3), (40, 16, 16, 1)] {
-            let mut a = Tensor::randn(&[m, k], Init::Rand, &mut rng);
-            // Zero every `stride`-th row (stride 1 → all rows zero).
-            for i in (0..m).step_by(stride.max(1)) {
-                if stride == 1 || i % stride == 0 {
-                    for v in a.data_mut()[i * k..(i + 1) * k].iter_mut() {
-                        *v = 0.0;
-                    }
-                }
-            }
-            let b = Tensor::randn(&[k, n], Init::Rand, &mut rng);
-            let expect = reference::matmul(&a, &b).unwrap();
-            let mut ws = Workspace::new();
-            let mut c = vec![1.0f32; m * n];
-            gemm_sparse_lhs_into(&mut c, a.data(), b.data(), m, k, n, &mut ws, 1);
-            let got = Tensor::from_vec(c, &[m, n]).unwrap();
-            assert!(got.allclose(&expect, 1e-4), "{m}x{k}x{n} stride={stride}");
-        }
-    }
-
-    #[test]
-    fn sparse_lhs_dense_fallback_matches() {
-        // No zero rows at all → dense fallback path.
-        let mut rng = Rng::new(22);
-        let a = Tensor::randn(&[10, 6], Init::Rand, &mut rng);
-        let b = Tensor::randn(&[6, 8], Init::Rand, &mut rng);
-        let expect = reference::matmul(&a, &b).unwrap();
-        let mut ws = Workspace::new();
-        let mut c = vec![0.0f32; 80];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 10, 6, 8, &mut ws, 1);
-        assert!(Tensor::from_vec(c, &[10, 8])
-            .unwrap()
-            .allclose(&expect, 1e-4));
-    }
-
-    #[test]
-    fn sparse_lhs_all_rows_zero_yields_zero_output() {
-        let a = Tensor::zeros(&[12, 7]);
-        let mut rng = Rng::new(23);
-        let b = Tensor::randn(&[7, 9], Init::Rand, &mut rng);
-        let mut ws = Workspace::new();
-        let mut c = vec![3.0f32; 12 * 9];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 12, 7, 9, &mut ws, 1);
-        assert_eq!(c, vec![0.0; 12 * 9]);
-    }
-
-    #[test]
-    fn sparse_lhs_single_surviving_row() {
-        let mut rng = Rng::new(24);
-        let mut a = Tensor::zeros(&[20, 5]);
-        for v in a.data_mut()[7 * 5..8 * 5].iter_mut() {
-            *v = 1.5;
-        }
-        let b = Tensor::randn(&[5, 6], Init::Rand, &mut rng);
-        let expect = reference::matmul(&a, &b).unwrap();
-        let mut ws = Workspace::new();
-        let mut c = vec![9.0f32; 20 * 6];
-        gemm_sparse_lhs_into(&mut c, a.data(), b.data(), 20, 5, 6, &mut ws, 1);
-        assert!(Tensor::from_vec(c, &[20, 6])
-            .unwrap()
-            .allclose(&expect, 1e-5));
     }
 
     #[test]

@@ -1,8 +1,6 @@
 use crate::{ShapeError, Tensor};
 
-use super::gemm::{
-    auto_threads, gemm_active_rows_into, gemm_into, gemm_sparse_lhs_into, ActiveRows,
-};
+use super::gemm::{auto_threads, gemm_into};
 use super::workspace::{with_thread_workspace, Workspace};
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
@@ -12,8 +10,10 @@ use super::workspace::{with_thread_workspace, Workspace};
 /// flop threshold), with packing scratch drawn from the calling thread's
 /// shared [`Workspace`](super::Workspace). The seed's naive loop survives
 /// as [`super::reference::matmul`] for differential testing; unlike the
-/// seed, this path has **no** per-element zero test — masked weights with
-/// structurally zero rows should use [`matmul_sparse_lhs`] instead.
+/// seed, this path has **no** per-element zero test — callers that know
+/// which rows of a masked operand survive pass an
+/// [`ActiveRows`](super::ActiveRows) descriptor to
+/// [`gemm_active_rows_into`](super::gemm_active_rows_into) instead.
 ///
 /// # Errors
 ///
@@ -102,81 +102,6 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
             n,
             ws,
             auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
-}
-
-/// `C = A · B` where `A` is expected to contain whole rows of zeros — the
-/// masked `Wcode` matrix an ALF block feeds its code convolution after
-/// pruning has zeroed code channels.
-///
-/// The seed kernel served this case with an `av == 0.0` branch inside
-/// every dense matmul's inner loop, taxing all callers for one caller's
-/// sparsity. The split moves that cost here: nonzero rows are compacted,
-/// multiplied densely with the blocked kernel, and scattered back. Falls
-/// back to dense [`matmul`] behaviour when fewer than 1/8 of rows are
-/// zero. Results match [`matmul`] exactly for the rows both compute.
-///
-/// # Errors
-///
-/// Returns an error unless `A` is `[m, k]` and `B` is `[k, n]`.
-pub fn matmul_sparse_lhs(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_sparse_lhs", a, b, false, false)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_sparse_lhs_into(
-            out.data_mut(),
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-            ws,
-            auto_threads(m, k, n),
-        );
-    });
-    Ok(out)
-}
-
-/// `C = A · B` computing only the rows named by an [`ActiveRows`]
-/// descriptor; every other row of `C` is exact `0.0`.
-///
-/// The declared-sparsity sibling of [`matmul_sparse_lhs`]: no scan of `A`
-/// happens, and the skipped rows of `A` need not hold zeros — the
-/// descriptor, typically derived from an ALF block's clipped mask, is the
-/// sole authority on which rows matter. Surviving rows are bitwise
-/// identical to [`matmul`]'s.
-///
-/// # Errors
-///
-/// Returns an error unless `A` is `[m, k]`, `B` is `[k, n]`, and the
-/// descriptor covers exactly `m` rows — a mask/operand length mismatch is
-/// a typed error, never a panic.
-pub fn matmul_active_rows(a: &Tensor, b: &Tensor, rows: &ActiveRows) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = dims_for("matmul_active_rows", a, b, false, false)?;
-    if rows.total() != m {
-        return Err(ShapeError::new(
-            "matmul_active_rows",
-            format!(
-                "active-row descriptor covers {} rows but A has {m}",
-                rows.total()
-            ),
-        ));
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    with_thread_workspace(|ws| {
-        gemm_active_rows_into(
-            out.data_mut(),
-            a.data(),
-            b.data(),
-            false,
-            m,
-            k,
-            n,
-            rows,
-            ws,
-            auto_threads(rows.len(), k, n),
         );
     });
     Ok(out)
@@ -378,68 +303,13 @@ mod tests {
         assert!(matmul(&a, &Tensor::zeros(&[3])).is_err());
         assert!(matmul_at(&a, &Tensor::zeros(&[3, 2])).is_err());
         assert!(matmul_bt(&a, &Tensor::zeros(&[2, 2])).is_err());
-        assert!(matmul_sparse_lhs(&a, &Tensor::zeros(&[4, 2])).is_err());
     }
 
     #[test]
     fn zero_rows_short_circuit_correctly() {
-        // Kept from the seed: zero LHS rows must yield zero output rows in
-        // both the dense and the sparse entry points.
+        // Kept from the seed: zero LHS rows must yield zero output rows.
         let a = Tensor::from_vec(vec![0.0, 1.0, 0.0, 0.0], &[2, 2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]).unwrap();
         assert_eq!(matmul(&a, &b).unwrap().data(), &[5.0, 6.0, 0.0, 0.0]);
-        assert_eq!(
-            matmul_sparse_lhs(&a, &b).unwrap().data(),
-            &[5.0, 6.0, 0.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn active_rows_descriptor_mismatch_is_typed_error() {
-        // A descriptor sized for the wrong operand must surface as a
-        // ShapeError, not a panic.
-        let a = Tensor::zeros(&[4, 3]);
-        let b = Tensor::zeros(&[3, 2]);
-        let rows = ActiveRows::from_mask(&[1.0, 0.0, 1.0]); // covers 3 rows, A has 4
-        let err = matmul_active_rows(&a, &b, &rows).unwrap_err();
-        assert_eq!(err.op(), "matmul_active_rows");
-        // Shape errors of the operands themselves are still typed too.
-        let rows4 = ActiveRows::from_mask(&[1.0; 4]);
-        assert!(matmul_active_rows(&a, &Tensor::zeros(&[5, 2]), &rows4).is_err());
-    }
-
-    #[test]
-    fn active_rows_edge_occupancies() {
-        let mut rng = Rng::new(46);
-        let a = Tensor::randn(&[6, 4], Init::Rand, &mut rng);
-        let b = Tensor::randn(&[4, 5], Init::Rand, &mut rng);
-        let dense = matmul(&a, &b).unwrap();
-        // All rows active: bitwise-dense.
-        let all = matmul_active_rows(&a, &b, &ActiveRows::full(6)).unwrap();
-        assert_eq!(all.data(), dense.data());
-        // No rows active: exact zeros.
-        let none = matmul_active_rows(&a, &b, &ActiveRows::from_mask(&[0.0; 6])).unwrap();
-        assert!(none.data().iter().all(|&v| v == 0.0));
-        // Single surviving row.
-        let mut mask = [0.0f32; 6];
-        mask[2] = 1.0;
-        let one = matmul_active_rows(&a, &b, &ActiveRows::from_mask(&mask)).unwrap();
-        assert_eq!(&one.data()[2 * 5..3 * 5], &dense.data()[2 * 5..3 * 5]);
-        assert!(one.data()[..2 * 5].iter().all(|&v| v == 0.0));
-        assert!(one.data()[3 * 5..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn sparse_lhs_equals_dense_on_masked_matrix() {
-        let mut rng = Rng::new(45);
-        let mut a = Tensor::randn(&[24, 10], Init::Rand, &mut rng);
-        for i in (0..24).step_by(3) {
-            for v in a.data_mut()[i * 10..(i + 1) * 10].iter_mut() {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::randn(&[10, 14], Init::Rand, &mut rng);
-        let dense = matmul(&a, &b).unwrap();
-        assert!(matmul_sparse_lhs(&a, &b).unwrap().allclose(&dense, 1e-5));
     }
 }

@@ -9,14 +9,15 @@
 //! Performance architecture (see `DESIGN.md` for the full picture):
 //!
 //! * [`gemm`] holds the cache-blocked, register-tiled, multithreaded
-//!   kernel every matrix product routes through; [`gemm_into`] /
-//!   [`gemm_sparse_lhs_into`] / [`gemm_active_rows_into`] /
-//!   [`gemm_active_k_into`] are the slice-level entry points hot loops
-//!   call with their own [`Workspace`]. [`ActiveRows`] is the shared
-//!   descriptor of which rows of a masked operand survive pruning.
-//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] / [`matmul_sparse_lhs`] /
-//!   [`matmul_active_rows`] are the tensor-level conveniences, drawing
-//!   scratch from a thread-local workspace.
+//!   kernel every matrix product routes through; [`gemm_into`] is the
+//!   dense slice-level entry point hot loops call with their own
+//!   [`Workspace`], and [`gemm_active_rows_into`] /
+//!   [`gemm_active_k_into`] are the only sparse ones. [`ActiveRows`] is
+//!   the shared descriptor of which rows of a masked operand survive
+//!   pruning; sparsity is always declared, never scanned for.
+//! * [`matmul`] / [`matmul_at`] / [`matmul_bt`] (and their `_ws` twins)
+//!   are the dense tensor-level conveniences, drawing scratch from a
+//!   thread-local or caller-supplied workspace.
 //! * [`qgemm`] is the int8 sibling: [`gemm_i8_into`] runs `i8×i8→i32`
 //!   products with the same panel-packing structure for the quantized
 //!   deployment path, and [`im2col_i8_into`] feeds it.
@@ -36,12 +37,9 @@ mod workspace;
 pub use channels::{concat_channels, split_channels};
 pub use conv::{col2im, col2im_into, conv2d, conv_output_hw, im2col, im2col_into, Conv2dSpec};
 pub use gemm::{
-    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, gemm_sparse_lhs_into,
-    host_parallelism, ActiveRows,
+    auto_threads, gemm_active_k_into, gemm_active_rows_into, gemm_into, host_parallelism,
+    ActiveRows,
 };
-pub use matmul::{
-    matmul, matmul_active_rows, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws,
-    matmul_sparse_lhs, matmul_ws,
-};
+pub use matmul::{matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws};
 pub use qgemm::{gemm_i8_into, im2col_i8_into};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -159,32 +159,7 @@ pub fn im2col_i8_into(
     let cols = n * ho * wo;
     assert_eq!(src.len(), n * ci * h * w, "im2col_i8: bad input length");
     assert_eq!(dst.len(), rows * cols, "im2col_i8: bad buffer length");
-    dst.fill(0);
-    for b in 0..n {
-        for c in 0..ci {
-            let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (c * k + ky) * k + kx;
-                    for oy in 0..ho {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..wo {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let col = (b * ho + oy) * wo + ox;
-                            dst[row * cols + col] = plane[iy * w + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    super::conv::unfold(dst, src, n, ci, h, w, spec);
 }
 
 #[cfg(test)]
@@ -265,20 +240,28 @@ mod tests {
     #[test]
     fn i8_im2col_matches_f32_im2col_on_common_values() {
         // Quantize-then-unfold must equal unfold-then-quantize; checking
-        // against the f32 im2col on integer-valued data pins the layout.
+        // against the f32 im2col on integer-valued data pins the layout
+        // across kernel {1,3} × stride {1,2} × pad {0,1}.
         use crate::Tensor;
-        let spec = Conv2dSpec::new(3, 2, 1);
         let (n, ci, h, w) = (2, 3, 7, 7);
         let vals: Vec<i8> = (0..n * ci * h * w)
             .map(|i| (((i * 23) % 200) as i32 - 100) as i8)
             .collect();
         let xf =
             Tensor::from_vec(vals.iter().map(|&v| v as f32).collect(), &[n, ci, h, w]).unwrap();
-        let colsf = super::super::im2col(&xf, spec).unwrap();
-        let mut cols8 = vec![0i8; colsf.data().len()];
-        im2col_i8_into(&mut cols8, &vals, n, ci, h, w, spec);
-        for (q, &f) in cols8.iter().zip(colsf.data()) {
-            assert_eq!(*q as f32, f);
+        for kernel in [1, 3] {
+            for stride in [1, 2] {
+                for pad in [0, 1] {
+                    let spec = Conv2dSpec::new(kernel, stride, pad);
+                    let colsf = super::super::im2col(&xf, spec).unwrap();
+                    // Stale contents must be overwritten, padding included.
+                    let mut cols8 = vec![7i8; colsf.data().len()];
+                    im2col_i8_into(&mut cols8, &vals, n, ci, h, w, spec);
+                    for (q, &f) in cols8.iter().zip(colsf.data()) {
+                        assert_eq!(*q as f32, f, "k={kernel} s={stride} p={pad}");
+                    }
+                }
+            }
         }
     }
 }

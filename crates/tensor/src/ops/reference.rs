@@ -22,9 +22,10 @@ use super::matmul::dims_for;
 /// Seed `C = A · B`: `i-k-j` loop order with a zero-skip on `A` elements.
 ///
 /// The zero-skip made every dense matmul pay a branch per `A` element to
-/// speed up the rare masked-weight case; the production path now splits
-/// that into [`super::matmul`] (dense, branch-free) and
-/// [`super::matmul_sparse_lhs`] (explicit row compaction).
+/// speed up the rare masked-weight case; the production path is now
+/// branch-free ([`super::matmul`]), and masked operands declare their
+/// surviving rows through [`super::ActiveRows`] instead
+/// ([`super::gemm_active_rows_into`]).
 ///
 /// # Errors
 ///

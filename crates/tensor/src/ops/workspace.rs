@@ -42,7 +42,6 @@ use std::cell::RefCell;
 #[derive(Debug, Default)]
 pub struct Workspace {
     slots: Vec<Slot>,
-    idx_slots: Vec<IdxSlot>,
     i8_slots: Vec<I8Slot>,
     i32_slots: Vec<I32Slot>,
     alloc_events: u64,
@@ -56,13 +55,6 @@ struct Slot {
     /// Largest capacity ever observed for this slot, in elements. The
     /// buffer itself is moved out while in use, so the high-water mark
     /// must be recorded here rather than read off `buf`.
-    cap: usize,
-}
-
-#[derive(Debug)]
-struct IdxSlot {
-    name: &'static str,
-    buf: Vec<usize>,
     cap: usize,
 }
 
@@ -132,48 +124,6 @@ impl Workspace {
                 self.note_alloc(name, buf.capacity());
                 let cap = buf.capacity();
                 self.slots.push(Slot { name, buf, cap });
-            }
-        }
-    }
-
-    /// Takes the named index buffer out of the arena, cleared, with
-    /// capacity for at least `cap` entries. Used by the sparse-LHS GEMM
-    /// path for its row map; accounting matches [`Workspace::take`].
-    pub fn take_idx(&mut self, name: &'static str, cap: usize) -> Vec<usize> {
-        let idx = match self.idx_slots.iter().position(|s| s.name == name) {
-            Some(i) => i,
-            None => {
-                self.note_alloc(name, cap);
-                self.idx_slots.push(IdxSlot {
-                    name,
-                    buf: Vec::with_capacity(cap),
-                    cap: 0,
-                });
-                self.idx_slots.len() - 1
-            }
-        };
-        let mut buf = std::mem::take(&mut self.idx_slots[idx].buf);
-        buf.clear();
-        if buf.capacity() < cap {
-            self.note_grow(name, buf.capacity(), cap);
-            buf.reserve(cap);
-        }
-        self.idx_slots[idx].cap = self.idx_slots[idx].cap.max(buf.capacity());
-        buf
-    }
-
-    /// Returns an index buffer to the arena; adoption semantics match
-    /// [`Workspace::give`].
-    pub fn give_idx(&mut self, name: &'static str, buf: Vec<usize>) {
-        match self.idx_slots.iter_mut().find(|s| s.name == name) {
-            Some(slot) => {
-                slot.cap = slot.cap.max(buf.capacity());
-                slot.buf = buf;
-            }
-            None => {
-                self.note_alloc(name, buf.capacity());
-                let cap = buf.capacity();
-                self.idx_slots.push(IdxSlot { name, buf, cap });
             }
         }
     }
@@ -276,13 +226,9 @@ impl Workspace {
     /// footprint.
     pub fn high_water_bytes(&self) -> usize {
         let f32s: usize = self.slots.iter().map(|s| s.cap).sum();
-        let idxs: usize = self.idx_slots.iter().map(|s| s.cap).sum();
         let i8s: usize = self.i8_slots.iter().map(|s| s.cap).sum();
         let i32s: usize = self.i32_slots.iter().map(|s| s.cap).sum();
-        f32s * std::mem::size_of::<f32>()
-            + idxs * std::mem::size_of::<usize>()
-            + i8s
-            + i32s * std::mem::size_of::<i32>()
+        f32s * std::mem::size_of::<f32>() + i8s + i32s * std::mem::size_of::<i32>()
     }
 
     /// Marks the workspace as warmed up: any further buffer growth trips
@@ -426,20 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn idx_slots_reuse_capacity() {
-        let mut ws = Workspace::new();
-        let mut r = ws.take_idx("rows", 64);
-        r.extend(0..50);
-        ws.give_idx("rows", r);
-        let events = ws.alloc_events();
-        ws.freeze();
-        let r = ws.take_idx("rows", 64);
-        assert!(r.is_empty());
-        ws.give_idx("rows", r);
-        assert_eq!(ws.alloc_events(), events);
-    }
-
-    #[test]
     fn high_water_tracks_peak_capacity() {
         let mut ws = Workspace::new();
         assert_eq!(ws.high_water_bytes(), 0);
@@ -450,9 +382,9 @@ mod tests {
         let b = ws.take("x", 10); // shrinking never lowers the mark
         ws.give("x", b);
         assert!(ws.high_water_bytes() >= 100 * 4);
-        let r = ws.take_idx("rows", 8);
-        ws.give_idx("rows", r);
-        assert!(ws.high_water_bytes() >= 100 * 4 + 8 * std::mem::size_of::<usize>());
+        let q = ws.take_i8("q", 8);
+        ws.give_i8("q", q);
+        assert!(ws.high_water_bytes() >= 100 * 4 + 8);
     }
 
     #[test]

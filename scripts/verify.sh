@@ -180,21 +180,23 @@ if [ "$i8_kernel_defs" -ne 1 ]; then
   exit 1
 fi
 
-# Deployment flows through deploy::Pipeline; the deprecated
-# deploy::compress wrapper exists only for source compatibility. Any
-# direct call site outside its own defining module means a consumer
-# bypassed the Pipeline API (and with it fold/quantize provenance).
-echo "==> no deploy::compress call sites outside the deprecated wrapper"
-# (both greps exit 1 in the passing case — no match at all, or every
-# match filtered — so shield the pipeline from `pipefail`.)
-compress_calls=$(
-  { grep -rn "deploy::compress(" crates src --include='*.rs' || true; } \
-    | { grep -v "crates/core/src/deploy.rs" || true; } | wc -l
-)
-if [ "$compress_calls" -ne 0 ]; then
-  grep -rn "deploy::compress(" crates src --include='*.rs' \
-    | grep -v "crates/core/src/deploy.rs" || true
-  echo "FAIL: expected 0 deploy::compress call sites, found $compress_calls"
+# Deployment flows through deploy::Pipeline and nothing else: a
+# `compress` function in deploy.rs means a flat wrapper regrew beside the
+# Pipeline API (and with it a path that bypasses fold/quantize
+# provenance).
+echo "==> no deploy::compress wrapper"
+if grep -n "pub fn compress" crates/core/src/deploy.rs; then
+  echo "FAIL: crates/core/src/deploy.rs defines a compress wrapper"
+  exit 1
+fi
+
+# Sparsity reaches a GEMM only as a declared ActiveRows descriptor
+# (gemm_active_rows_into / gemm_active_k_into). A scan-based sparse entry
+# point or a conv-level zero-row hint means a second sparse path regrew
+# that inspects weights instead of trusting the clipped mask.
+echo "==> no scan-based sparse GEMM path"
+if grep -rnE "gemm_sparse_lhs|matmul_sparse_lhs|sparse_weight_hint" crates src --include='*.rs'; then
+  echo "FAIL: a scan-based sparse GEMM path is back"
   exit 1
 fi
 

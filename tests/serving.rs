@@ -49,7 +49,7 @@ fn serve_config(workers: usize, max_batch: usize, queue_depth: usize) -> ServeCo
     }
 }
 
-/// `compress` → `checkpoint::save` → `load` into a fresh deployed model →
+/// `deploy::Pipeline` → `checkpoint::save` → `load` into a fresh deployed model →
 /// serve: the logits coming back from the server are bitwise-identical to
 /// the training-form network's eval-mode `forward`.
 #[test]
