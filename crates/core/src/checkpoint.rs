@@ -23,8 +23,9 @@
 //! bytes — before touching the model, so a failed load leaves it intact.
 
 use alf_nn::layer::Layer;
+use alf_obs::wire::{Reader, WireError};
 use alf_tensor::{ShapeError, Tensor};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::model::CnnModel;
 use crate::schedule::PruneSchedule;
@@ -65,32 +66,29 @@ fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
     }
 }
 
-fn get_tensors(bytes: &mut Bytes, count: usize, what: &str) -> Result<Vec<Tensor>> {
+/// Reads `u32 count | (u32 rank | u32 dims… | f32 data…)*`. Counts are
+/// bounded by the bytes left and dims products are overflow-checked, so
+/// nothing is allocated beyond what the blob can fill.
+fn read_tensors(r: &mut Reader<'_>, what: &str) -> Result<Vec<Tensor>> {
+    let wire = |e: WireError| fail(format!("{what} section: {e}"));
+    // Smallest tensor: a rank (4 bytes) plus either one dim of 0 or, at
+    // rank 0, one scalar (4 bytes).
+    let count = r.count(8).map_err(wire)?;
     let mut tensors = Vec::with_capacity(count);
     for i in 0..count {
-        if bytes.remaining() < 4 {
-            return Err(fail(format!("truncated rank of {what} tensor {i}")));
+        let rank = r.count(4).map_err(wire)?;
+        let mut dims = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            dims.push(r.u32().map_err(wire)? as usize);
         }
-        let rank = bytes.get_u32_le() as usize;
-        if bytes.remaining() < 4 * rank {
-            return Err(fail(format!("truncated dims of {what} tensor {i}")));
-        }
-        let dims: Vec<usize> = (0..rank).map(|_| bytes.get_u32_le() as usize).collect();
-        let len: usize = dims.iter().product();
-        if bytes.remaining() < 4 * len {
-            return Err(fail(format!("truncated data of {what} tensor {i}")));
-        }
-        let data: Vec<f32> = (0..len).map(|_| bytes.get_f32_le()).collect();
+        let len = dims
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| fail(format!("{what} tensor {i}: dims {dims:?} overflow")))?;
+        let data = r.f32s(len).map_err(wire)?;
         tensors.push(Tensor::from_vec(data, &dims)?);
     }
     Ok(tensors)
-}
-
-fn get_u32_count(bytes: &mut Bytes, what: &str) -> Result<usize> {
-    if bytes.remaining() < 4 {
-        return Err(fail(format!("truncated {what} count")));
-    }
-    Ok(bytes.get_u32_le() as usize)
 }
 
 /// Serialises the model's persistent state as a v1 blob.
@@ -154,27 +152,22 @@ struct Parsed {
 }
 
 fn parse(blob: &[u8]) -> Result<Parsed> {
-    let mut bytes = Bytes::copy_from_slice(blob);
-    if bytes.remaining() < MAGIC_V1.len() {
-        return Err(fail("truncated header"));
-    }
-    let mut magic = [0u8; 8];
-    bytes.copy_to_slice(&mut magic);
-    let v2 = match &magic {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
-        _ => return Err(fail("bad magic")),
+    let mut r = Reader::new(blob);
+    let v2 = match r.bytes(MAGIC_V1.len()) {
+        Ok(m) if m == MAGIC_V1 => false,
+        Ok(m) if m == MAGIC_V2 => true,
+        Ok(_) => return Err(fail("bad magic")),
+        Err(_) => return Err(fail("truncated header")),
     };
-    let count = get_u32_count(&mut bytes, "model tensor")?;
-    let model = get_tensors(&mut bytes, count, "model")?;
+    let model = read_tensors(&mut r, "model")?;
     let trainer = if v2 {
-        let mcount = get_u32_count(&mut bytes, "momentum tensor")?;
-        let momentum = get_tensors(&mut bytes, mcount, "momentum")?;
-        if bytes.remaining() < 2 * 4 + 3 * 8 {
-            return Err(fail("truncated trainer trailer"));
-        }
-        let slope = bytes.get_f32_le();
-        let pr_max = bytes.get_f32_le();
+        let momentum = read_tensors(&mut r, "momentum")?;
+        let trailer = |e: WireError| fail(format!("trainer trailer: {e}"));
+        let slope = r.f32().map_err(trailer)?;
+        let pr_max = r.f32().map_err(trailer)?;
+        let epoch = r.u64().map_err(trailer)?;
+        let step = r.u64().map_err(trailer)?;
+        let data_seed = r.u64().map_err(trailer)?;
         if !(1.0..=10.0).contains(&slope) || !(0.0..=1.0).contains(&pr_max) {
             return Err(fail(format!(
                 "schedule out of domain: slope {slope}, pr_max {pr_max}"
@@ -183,9 +176,9 @@ fn parse(blob: &[u8]) -> Result<Parsed> {
         Some(TrainerState {
             momentum,
             schedule: PruneSchedule { slope, pr_max },
-            epoch: bytes.get_u64_le(),
-            step: bytes.get_u64_le(),
-            data_seed: bytes.get_u64_le(),
+            epoch,
+            step,
+            data_seed,
         })
     } else {
         None
@@ -193,12 +186,8 @@ fn parse(blob: &[u8]) -> Result<Parsed> {
     // A well-formed blob ends exactly at its last field; trailing bytes
     // mean the blob was produced by something else (or corrupted in a way
     // the per-field checks cannot see), so reject loudly.
-    if bytes.remaining() > 0 {
-        return Err(fail(format!(
-            "{} trailing bytes after the last field",
-            bytes.remaining()
-        )));
-    }
+    r.finish()
+        .map_err(|e| fail(format!("{e} after the last field")))?;
     Ok(Parsed { model, trainer })
 }
 
@@ -501,6 +490,31 @@ mod tests {
         let blob = save_trainer(&model, &short);
         let err = load_trainer(&mut model, &blob).unwrap_err();
         assert!(err.to_string().contains("momentum tensors"), "{err}");
+    }
+
+    #[test]
+    fn oversized_tensor_count_is_an_error_not_an_abort() {
+        // Magic plus a claimed u32::MAX tensors: 12 bytes that used to
+        // reserve ~200 GB of `Tensor` slots and abort the process.
+        let mut probe = MAGIC_V1.to_vec();
+        probe.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut model = plain20(4, 4).unwrap();
+        let err = load(&mut model, &probe).unwrap_err();
+        assert_eq!(err.op(), "checkpoint");
+        assert!(load_trainer(&mut model, &probe).is_err());
+        // The same claim in the momentum section of a v2 blob.
+        let mut v2 = save_trainer(&model, &trainer_state_for(&model)).to_vec();
+        let model_end = save(&model).len();
+        v2.truncate(model_end);
+        v2.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(load_trainer(&mut model, &v2).is_err());
+        // A dims product that overflows usize is refused, not wrapped.
+        let mut dims = MAGIC_V1.to_vec();
+        for v in [1u32, 3, u32::MAX, u32::MAX, u32::MAX] {
+            dims.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = load(&mut model, &dims).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

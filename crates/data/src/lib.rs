@@ -25,14 +25,12 @@
 mod augment;
 mod batcher;
 mod dataset;
-mod encode;
 pub mod plan;
 mod synth;
 
 pub use augment::Augment;
 pub use batcher::Batches;
 pub use dataset::{Dataset, Split};
-pub use encode::{decode_dataset, encode_dataset, DecodeDatasetError};
 pub use plan::EpochPlan;
 pub use synth::{SynthVision, SynthVisionBuilder};
 

@@ -26,8 +26,9 @@
 
 use alf_core::CnnModel;
 use alf_nn::layer::Layer;
+use alf_obs::wire::Reader;
 use alf_tensor::ops::ActiveRows;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::error::{DistError, Result};
 
@@ -189,32 +190,24 @@ fn try_encode_sparse(
 /// [`DistError::FrameCorrupt`] when the byte stream is truncated or the
 /// sparse row structure is invalid for the layout.
 pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut r = Reader::new(bytes);
     let mut out = vec![0.0f32; layout.total_len];
     let mut off = 0usize;
     for &(rows, row_len) in &layout.tensors {
         let seg_len = rows * row_len;
         let seg = &mut out[off..off + seg_len];
         off += seg_len;
-        let mode = take_u8(&mut buf)?;
-        match mode {
-            MODE_DENSE => {
-                need(&buf, 4 * seg_len, "dense segment")?;
-                for slot in seg.iter_mut() {
-                    *slot = buf.get_f32_le();
-                }
-            }
+        match r.u8()? {
+            MODE_DENSE => r.f32s_into(seg)?,
             MODE_SPARSE => {
-                need(&buf, 8, "sparse segment header")?;
-                let live = buf.get_u32_le() as usize;
-                let nruns = buf.get_u32_le() as usize;
-                need(&buf, 8 * nruns, "sparse run table")?;
+                let live = r.u32()? as usize;
+                let nruns = r.count(8)?;
                 let mut expanded = 0usize;
                 let mut prev_end = 0usize;
                 let mut run_list = Vec::with_capacity(nruns);
                 for i in 0..nruns {
-                    let start = buf.get_u32_le() as usize;
-                    let len = buf.get_u32_le() as usize;
+                    let start = r.u32()? as usize;
+                    let len = r.u32()? as usize;
                     if len == 0 || (i > 0 && start <= prev_end) || start + len > rows {
                         return Err(DistError::FrameCorrupt {
                             detail: format!(
@@ -236,13 +229,8 @@ pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
                         ),
                     });
                 }
-                need(&buf, 4 * live * row_len, "sparse row payload")?;
                 for (start, len) in run_list {
-                    for row in start..start + len {
-                        for slot in seg[row * row_len..(row + 1) * row_len].iter_mut() {
-                            *slot = buf.get_f32_le();
-                        }
-                    }
+                    r.f32s_into(&mut seg[start * row_len..(start + len) * row_len])?;
                 }
             }
             other => {
@@ -252,29 +240,8 @@ pub fn decode_grad(bytes: &[u8], layout: &GradLayout) -> Result<Vec<f32>> {
             }
         }
     }
-    if buf.remaining() != 0 {
-        return Err(DistError::FrameCorrupt {
-            detail: format!("{} trailing bytes after gradient", buf.remaining()),
-        });
-    }
+    r.finish()?;
     Ok(out)
-}
-
-fn take_u8(buf: &mut Bytes) -> Result<u8> {
-    need(buf, 1, "segment mode byte")?;
-    Ok(buf.get_u8())
-}
-
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(DistError::FrameCorrupt {
-            detail: format!(
-                "gradient truncated: need {n} bytes for {what}, have {}",
-                buf.remaining()
-            ),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

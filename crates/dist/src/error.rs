@@ -11,6 +11,7 @@
 use std::fmt;
 use std::io;
 
+use alf_obs::wire::WireError;
 use alf_tensor::ShapeError;
 
 /// Any failure of the distributed training collective.
@@ -86,6 +87,15 @@ impl From<io::Error> for DistError {
 impl From<ShapeError> for DistError {
     fn from(e: ShapeError) -> Self {
         DistError::Train(e)
+    }
+}
+
+impl From<WireError> for DistError {
+    /// A gradient that ends early or runs long (`codec::decode_grad`).
+    fn from(e: WireError) -> Self {
+        DistError::FrameCorrupt {
+            detail: e.to_string(),
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 //! frame := u32 len | payload (len bytes) | u32 crc32(payload)
 //! ```
 //!
-//! all little-endian, with the CRC from the workspace's shared
-//! [`alf_obs::crc32`]. Framing errors are typed: a bad magic is a
+//! all little-endian, written by the workspace's shared
+//! [`alf_obs::wire::put_frame`]. Framing errors are typed: a bad magic is a
 //! [`DistError::ProtocolMismatch`], a CRC or length violation is a
 //! [`DistError::FrameCorrupt`], and EOF / an expired read deadline is a
 //! [`DistError::RankLost`] naming the peer the stream belongs to.
@@ -19,6 +19,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use alf_obs::crc32;
+use alf_obs::wire::put_frame;
 use alf_obs::{Counter, Histogram, HistogramSpec, MetricsRegistry};
 
 use crate::error::{DistError, Result};
@@ -143,10 +144,8 @@ impl FrameStream {
                 detail: format!("frame payload of {len} bytes exceeds cap {MAX_FRAME}"),
             });
         }
-        let mut wire = Vec::with_capacity(payload.len() + 8);
-        wire.extend_from_slice(&len.to_le_bytes());
-        wire.extend_from_slice(payload);
-        wire.extend_from_slice(&crc32(payload).to_le_bytes());
+        let mut wire = Vec::new();
+        put_frame(&mut wire, payload);
         self.stream.write_all(&wire).map_err(|e| self.lost(&e))?;
         self.metrics.bytes_tx.add(wire.len() as u64);
         self.metrics.frames_tx.inc();
@@ -154,7 +153,9 @@ impl FrameStream {
     }
 
     /// Reads one frame, validating length and CRC, honouring the
-    /// socket's read deadline.
+    /// socket's read deadline. The payload buffer grows with the bytes
+    /// that actually arrive (from a 64 KiB start), so a peer that claims
+    /// a large frame and then hangs up cannot make this side reserve it.
     pub fn read_frame(&mut self) -> Result<Vec<u8>> {
         let mut raw_len = [0u8; 4];
         self.stream
@@ -166,10 +167,14 @@ impl FrameStream {
                 detail: format!("frame length {len} exceeds cap {MAX_FRAME}"),
             });
         }
-        let mut payload = vec![0u8; len as usize];
-        self.stream
-            .read_exact(&mut payload)
+        let mut payload = Vec::with_capacity((len as usize).min(64 << 10));
+        (&mut self.stream)
+            .take(u64::from(len))
+            .read_to_end(&mut payload)
             .map_err(|e| self.lost(&e))?;
+        if payload.len() < len as usize {
+            return Err(self.lost(&std::io::ErrorKind::UnexpectedEof.into()));
+        }
         let mut raw_crc = [0u8; 4];
         self.stream
             .read_exact(&mut raw_crc)

@@ -21,7 +21,8 @@
 
 use alf_core::CnnModel;
 use alf_nn::layer::Layer;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use alf_obs::wire::{Reader, WireError};
+use bytes::{BufMut, BytesMut};
 
 use crate::error::{DistError, Result};
 
@@ -173,96 +174,74 @@ impl Message {
     /// does not parse — the frame CRC already passed, so malformed bytes
     /// here mean the peers are speaking different dialects.
     pub fn decode(payload: &[u8]) -> Result<Message> {
-        let mut buf = Bytes::copy_from_slice(payload);
-        need(&buf, 4, "message tag")?;
-        let tag = buf.get_u32_le();
-        let msg = match tag {
-            TAG_HELLO => {
-                need(&buf, 4 + 4 + 4 + 8, "HELLO body")?;
-                Message::Hello(Hello {
-                    version: buf.get_u32_le(),
-                    world: buf.get_u32_le(),
-                    rank: buf.get_u32_le(),
-                    fingerprint: buf.get_u64_le(),
-                })
-            }
-            TAG_WELCOME => {
-                need(&buf, 4 + 4 + 8, "WELCOME body")?;
-                Message::Welcome(Welcome {
-                    version: buf.get_u32_le(),
-                    world: buf.get_u32_le(),
-                    fingerprint: buf.get_u64_le(),
-                })
-            }
+        let mut r = Reader::new(payload);
+        let mismatch = |e: WireError| DistError::ProtocolMismatch {
+            detail: format!("malformed message: {e}"),
+        };
+        let tag = r.u32().map_err(mismatch)?;
+        let Some(msg) = Self::read_body(tag, &mut r).map_err(mismatch)? else {
+            return Err(DistError::ProtocolMismatch {
+                detail: format!("unknown message tag {tag}"),
+            });
+        };
+        r.finish().map_err(mismatch)?;
+        Ok(msg)
+    }
+
+    /// The body of a `tag` message; `None` for an unknown tag.
+    fn read_body(tag: u32, r: &mut Reader<'_>) -> std::result::Result<Option<Message>, WireError> {
+        Ok(Some(match tag {
+            TAG_HELLO => Message::Hello(Hello {
+                version: r.u32()?,
+                world: r.u32()?,
+                rank: r.u32()?,
+                fingerprint: r.u64()?,
+            }),
+            TAG_WELCOME => Message::Welcome(Welcome {
+                version: r.u32()?,
+                world: r.u32()?,
+                fingerprint: r.u64()?,
+            }),
             TAG_PARTIALS => {
-                need(&buf, 8 + 8 + 4, "PARTIALS header")?;
-                let epoch = buf.get_u64_le();
-                let step = buf.get_u64_le();
-                let nroots = buf.get_u32_le() as usize;
-                let mut roots = Vec::with_capacity(nroots.min(1024));
+                let epoch = r.u64()?;
+                let step = r.u64()?;
+                // Each root is at least its `u32 idx | u32 nbytes` header.
+                let nroots = r.count(8)?;
+                let mut roots = Vec::with_capacity(nroots);
                 for _ in 0..nroots {
-                    need(&buf, 8, "PARTIALS root header")?;
-                    let idx = buf.get_u32_le();
-                    let nbytes = buf.get_u32_le() as usize;
-                    need(&buf, nbytes, "PARTIALS root payload")?;
-                    let mut bytes = vec![0u8; nbytes];
-                    buf.copy_to_slice(&mut bytes);
-                    roots.push((idx, bytes));
+                    let idx = r.u32()?;
+                    let nbytes = r.u32()? as usize;
+                    roots.push((idx, r.bytes(nbytes)?.to_vec()));
                 }
-                need(&buf, 4, "PARTIALS loss count")?;
-                let nlosses = buf.get_u32_le() as usize;
-                need(&buf, 4 * nlosses + 4, "PARTIALS losses")?;
-                let mut losses = Vec::with_capacity(nlosses);
-                for _ in 0..nlosses {
-                    losses.push(buf.get_f32_le());
-                }
-                let correct = buf.get_u32_le();
+                let nlosses = r.count(4)?;
                 Message::Partials(Partials {
                     epoch,
                     step,
                     roots,
-                    losses,
-                    correct,
+                    losses: r.f32s(nlosses)?,
+                    correct: r.u32()?,
                 })
             }
             TAG_REDUCED => {
-                need(&buf, 8 + 8 + 4, "REDUCED header")?;
-                let epoch = buf.get_u64_le();
-                let step = buf.get_u64_le();
-                let nbytes = buf.get_u32_le() as usize;
-                need(&buf, nbytes + 8 + 8, "REDUCED body")?;
-                let mut grad = vec![0u8; nbytes];
-                buf.copy_to_slice(&mut grad);
+                let epoch = r.u64()?;
+                let step = r.u64()?;
+                let nbytes = r.u32()? as usize;
                 Message::Reduced(Reduced {
                     epoch,
                     step,
-                    grad,
-                    loss_sum_bits: buf.get_u64_le(),
-                    correct: buf.get_u64_le(),
+                    grad: r.bytes(nbytes)?.to_vec(),
+                    loss_sum_bits: r.u64()?,
+                    correct: r.u64()?,
                 })
             }
             TAG_FAULT => {
-                need(&buf, 4, "FAULT length")?;
-                let len = buf.get_u32_le() as usize;
-                need(&buf, len, "FAULT detail")?;
-                let mut raw = vec![0u8; len];
-                buf.copy_to_slice(&mut raw);
+                let len = r.u32()? as usize;
                 Message::Fault(Fault {
-                    detail: String::from_utf8_lossy(&raw).into_owned(),
+                    detail: String::from_utf8_lossy(r.bytes(len)?).into_owned(),
                 })
             }
-            other => {
-                return Err(DistError::ProtocolMismatch {
-                    detail: format!("unknown message tag {other}"),
-                })
-            }
-        };
-        if buf.remaining() != 0 {
-            return Err(DistError::ProtocolMismatch {
-                detail: format!("{} trailing bytes after message", buf.remaining()),
-            });
-        }
-        Ok(msg)
+            _ => return Ok(None),
+        }))
     }
 
     /// Short name for mismatch diagnostics.
@@ -299,15 +278,6 @@ pub fn model_fingerprint(model: &CnnModel, world: u32) -> u64 {
         }
     });
     h
-}
-
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(DistError::ProtocolMismatch {
-            detail: format!("truncated {what}: need {n} bytes, have {}", buf.remaining()),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@ use std::path::{Path, PathBuf};
 
 use alf_bench::report::ParetoPoint;
 use alf_obs::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use alf_obs::wire::{put_frame, Reader};
+use bytes::{BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 8] = b"ALFLAB01";
 /// Frames larger than this are rejected as corruption, not allocated.
@@ -140,40 +141,22 @@ impl From<std::io::Error> for CampaignError {
     }
 }
 
+/// What a payload decoder reports; the caller wraps it in
+/// [`CampaignError::Corrupt`].
+type DecodeResult<T> = Result<T, Box<dyn std::error::Error>>;
+
 fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(u32::try_from(s.len()).expect("string fits u32"));
     buf.put_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, String> {
-    if buf.remaining() < 4 {
-        return Err("truncated string length".into());
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(format!("string of {len} bytes overruns frame"));
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| "string is not UTF-8".into())
+fn read_string(r: &mut Reader<'_>) -> DecodeResult<String> {
+    let len = r.u32()? as usize;
+    Ok(String::from_utf8(r.bytes(len)?.to_vec())?)
 }
 
 fn put_f64(buf: &mut BytesMut, v: f64) {
     buf.put_u64_le(v.to_bits());
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, String> {
-    if buf.remaining() < 8 {
-        return Err("truncated f64".into());
-    }
-    Ok(f64::from_bits(buf.get_u64_le()))
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, String> {
-    if buf.remaining() < 4 {
-        return Err("truncated u32".into());
-    }
-    Ok(buf.get_u32_le())
 }
 
 fn encode_header(scale: &str, fingerprint: &str) -> Bytes {
@@ -183,12 +166,11 @@ fn encode_header(scale: &str, fingerprint: &str) -> Bytes {
     buf.freeze()
 }
 
-fn decode_header(mut payload: Bytes) -> Result<(String, String), String> {
-    let scale = get_string(&mut payload)?;
-    let fingerprint = get_string(&mut payload)?;
-    if payload.remaining() != 0 {
-        return Err("trailing bytes after header".into());
-    }
+fn decode_header(payload: &[u8]) -> DecodeResult<(String, String)> {
+    let mut r = Reader::new(payload);
+    let scale = read_string(&mut r)?;
+    let fingerprint = read_string(&mut r)?;
+    r.finish()?;
     Ok((scale, fingerprint))
 }
 
@@ -232,29 +214,31 @@ fn encode_record(rec: &JobRecord) -> Bytes {
     buf.freeze()
 }
 
-fn decode_record(mut payload: Bytes) -> Result<JobRecord, String> {
-    let tag = get_u32(&mut payload)?;
-    let id = get_string(&mut payload)?;
+fn decode_record(payload: &[u8]) -> DecodeResult<JobRecord> {
+    let mut r = Reader::new(payload);
+    let tag = r.u32()?;
+    let id = read_string(&mut r)?;
     let status = match tag {
         TAG_COMPLETED => {
-            let secs = get_f64(&mut payload)?;
-            let n = get_u32(&mut payload)? as usize;
+            let secs = r.f64()?;
+            // A metric is at least `u32 len | f64`; a Pareto point at
+            // least three empty strings and three f64s.
+            let n = r.count(4 + 8)?;
             let mut metrics = BTreeMap::new();
             for _ in 0..n {
-                let k = get_string(&mut payload)?;
-                let v = get_f64(&mut payload)?;
-                metrics.insert(k, v);
+                let k = read_string(&mut r)?;
+                metrics.insert(k, r.f64()?);
             }
-            let n = get_u32(&mut payload)? as usize;
-            let mut pareto = Vec::with_capacity(n.min(1024));
+            let n = r.count(3 * 4 + 3 * 8)?;
+            let mut pareto = Vec::with_capacity(n);
             for _ in 0..n {
                 pareto.push(ParetoPoint {
-                    track: get_string(&mut payload)?,
-                    method: get_string(&mut payload)?,
-                    params: get_f64(&mut payload)?,
-                    ops: get_f64(&mut payload)?,
-                    accuracy: get_f64(&mut payload)?,
-                    source: get_string(&mut payload)?,
+                    track: read_string(&mut r)?,
+                    method: read_string(&mut r)?,
+                    params: r.f64()?,
+                    ops: r.f64()?,
+                    accuracy: r.f64()?,
+                    source: read_string(&mut r)?,
                 });
             }
             RecordStatus::Completed {
@@ -264,57 +248,39 @@ fn decode_record(mut payload: Bytes) -> Result<JobRecord, String> {
             }
         }
         TAG_FAILED => RecordStatus::Failed {
-            error: get_string(&mut payload)?,
+            error: read_string(&mut r)?,
         },
         TAG_SKIPPED => RecordStatus::Skipped {
-            dep: get_string(&mut payload)?,
+            dep: read_string(&mut r)?,
         },
-        other => return Err(format!("unknown record tag {other}")),
+        other => return Err(format!("unknown record tag {other}").into()),
     };
-    if payload.remaining() != 0 {
-        return Err("trailing bytes after record".into());
-    }
+    r.finish()?;
     Ok(JobRecord { id, status })
-}
-
-fn frame(payload: &Bytes) -> Vec<u8> {
-    let body = payload.clone().to_vec();
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("frame fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
 }
 
 /// Splits raw bytes (after the magic) into intact frame payloads,
 /// returning them with the byte offset just past the last intact frame.
 /// A short/CRC-failing tail ends the walk (torn write); it is *not* an
 /// error here — the caller truncates it away.
-fn split_frames(raw: &[u8]) -> (Vec<Bytes>, usize) {
+fn split_frames(raw: &[u8]) -> (Vec<&[u8]>, usize) {
     let mut frames = Vec::new();
-    let mut at = 0usize;
+    let mut r = Reader::new(raw);
     loop {
-        if raw.len() - at < 4 {
-            break;
+        let at = r.offset();
+        let intact = r
+            .u32()
+            .ok()
+            .filter(|&len| len <= MAX_FRAME)
+            .and_then(|len| {
+                let payload = r.bytes(len as usize).ok()?;
+                (r.u32().ok()? == crc32(payload)).then_some(payload)
+            });
+        match intact {
+            Some(payload) => frames.push(payload),
+            None => return (frames, at),
         }
-        let mut head = Bytes::copy_from_slice(&raw[at..at + 4]);
-        let len = head.get_u32_le() as usize;
-        if len > MAX_FRAME as usize || raw.len() - at < 4 + len + 4 {
-            break;
-        }
-        let payload = &raw[at + 4..at + 4 + len];
-        let mut tail = Bytes::copy_from_slice(&raw[at + 4 + len..at + 8 + len]);
-        if tail.get_u32_le() != crc32(payload) {
-            break;
-        }
-        frames.push(Bytes::copy_from_slice(payload));
-        at += 8 + len;
     }
-    (frames, at)
 }
 
 /// A cached job's persisted measurements: `(secs, metrics, pareto)`.
@@ -346,8 +312,9 @@ impl ManifestFile {
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&frame(&encode_header(scale, fingerprint)))?;
+        let mut head = MAGIC.to_vec();
+        put_frame(&mut head, &encode_header(scale, fingerprint));
+        file.write_all(&head)?;
         file.flush()?;
         Ok(Self {
             file,
@@ -392,7 +359,7 @@ impl ManifestFile {
             return Self::create(path, scale, fingerprint);
         };
         let (got_scale, got_fp) =
-            decode_header(header.clone()).map_err(|e| corrupt(format!("header: {e}")))?;
+            decode_header(header).map_err(|e| corrupt(format!("header: {e}")))?;
         if got_scale != scale || got_fp != fingerprint {
             return Err(CampaignError::Mismatch {
                 path: path.to_path_buf(),
@@ -402,9 +369,7 @@ impl ManifestFile {
         }
         let mut records = Vec::with_capacity(body.len());
         for (i, payload) in body.iter().enumerate() {
-            records.push(
-                decode_record(payload.clone()).map_err(|e| corrupt(format!("record {i}: {e}")))?,
-            );
+            records.push(decode_record(payload).map_err(|e| corrupt(format!("record {i}: {e}")))?);
         }
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(u64::try_from(intact_end).expect("file length fits u64"))?;
@@ -474,9 +439,11 @@ impl ManifestFile {
     /// programming error, never an input condition.
     pub fn append(&mut self, rec: &JobRecord) -> Result<(), CampaignError> {
         let payload = encode_record(rec);
-        let decoded = decode_record(payload.clone()).expect("record round-trips");
+        let decoded = decode_record(&payload).expect("record round-trips");
         assert_eq!(&decoded, rec, "record round-trips losslessly");
-        self.file.write_all(&frame(&payload))?;
+        let mut wire = Vec::new();
+        put_frame(&mut wire, &payload);
+        self.file.write_all(&wire)?;
         self.file.flush()?;
         self.records.push(rec.clone());
         Ok(())

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use alf_obs::json::JsonWriter;
 use alf_obs::metrics::{Counter, MetricsRegistry};
 use alf_obs::runtime::resolve_threads;
+use alf_obs::wire::Reader;
 use alf_serve::{Pending, ServeConfig, ServeError, Server};
 use alf_tensor::Tensor;
 
@@ -284,26 +285,23 @@ impl Router {
         let entry = &self.models[index];
         let cfg = entry.server.config();
         let dims = [cfg.channels, cfg.height, cfg.width];
-        let want = dims[0] * dims[1] * dims[2] * 4;
-        if req.body.len() != want {
+        let mut body = Reader::new(&req.body);
+        let pixels = dims[0] * dims[1] * dims[2];
+        let Ok(data) = body.f32s(pixels).and_then(|d| body.finish().map(|()| d)) else {
             return Outcome::Immediate(Response::error(
                 400,
                 "Bad Request",
                 "bad_body",
                 &format!(
-                    "body must be {want} bytes of little-endian f32 ({}x{}x{}), got {}",
+                    "body must be {} bytes of little-endian f32 ({}x{}x{}), got {}",
+                    4 * pixels,
                     dims[0],
                     dims[1],
                     dims[2],
                     req.body.len()
                 ),
             ));
-        }
-        let data: Vec<f32> = req
-            .body
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
+        };
         let image = Tensor::from_vec(data, &dims).expect("length checked above");
         let started = Instant::now();
         match entry.server.submit_with_deadline(image, deadline) {

@@ -1,7 +1,8 @@
 //! End-to-end socket smoke test, also run by `scripts/verify.sh`:
 //! an ephemeral-port server with concurrent keep-alive clients, one hot
-//! checkpoint swap over the wire mid-load, one tenant-over-quota burst,
-//! and exact accounting at the end — every request is answered or
+//! checkpoint swap over the wire mid-load, one malformed checkpoint that
+//! must come back `422`, one tenant-over-quota burst, and exact
+//! accounting at the end — every request is answered or
 //! typed-rejected, and the `/metrics` totals reconcile with the
 //! client-side tallies and the per-model `ServerStats`.
 
@@ -94,6 +95,14 @@ fn socket_smoke() {
         .post("/v1/models/m/checkpoint", &[], &blob)
         .expect("swap answered");
     assert_eq!(resp.status, 200, "{}", resp.text());
+    // A 12-byte blob claiming u32::MAX tensors is a typed 422, not a
+    // process abort; the deadline predicts below prove the server lives.
+    let mut probe = b"ALFCKPT1".to_vec();
+    probe.extend_from_slice(&u32::MAX.to_le_bytes());
+    let resp = admin
+        .post("/v1/models/m/checkpoint", &[], &probe)
+        .expect("bad swap answered");
+    assert_eq!(resp.status, 422, "{}", resp.text());
 
     let mut tallies: BTreeMap<u16, u64> = BTreeMap::new();
     for handle in load {

@@ -15,6 +15,10 @@
 //!   ([`resolve_threads`]).
 //! * [`crc`] — the workspace's single CRC-32 ([`crc32`]) shared by every
 //!   checksummed byte format (campaign manifest, dist wire frames).
+//! * [`wire`] — the single checked reader ([`wire::Reader`]) for every
+//!   binary decoder of outside bytes (checkpoints, dist messages and
+//!   gradients, the campaign manifest), plus the shared
+//!   `len | payload | crc32` frame writer ([`wire::put_frame`]).
 //!
 //! It deliberately has **no dependencies** (std only) so that every crate
 //! in the workspace — including `alf-tensor` at the bottom of the stack —
@@ -40,6 +44,7 @@ pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod runtime;
+pub mod wire;
 
 pub use crc::crc32;
 pub use events::{Event, EventLog, FileSink, MemoryHandle, MemorySink, NullSink, TelemetrySink};

@@ -211,6 +211,17 @@ if [ "$crc_defs" -ne 1 ]; then
   exit 1
 fi
 
+# Outside bytes are read through one checked reader (alf_obs::wire::Reader),
+# which bounds every count by the bytes remaining. Importing the read trait
+# `bytes::Buf` (whose getters panic when short) or copying a blob into
+# `Bytes` to read it means a decoder regrew its own bounds checks.
+# Writing through `bytes::BufMut` stays allowed.
+echo "==> no bytes::Buf readers in crates/"
+if grep -rnE 'bytes::(\{[^}]*\bBuf\b|Buf\b)|Bytes::copy_from_slice' crates --include='*.rs'; then
+  echo "FAIL: a decoder reads through bytes::Buf instead of alf_obs::wire::Reader"
+  exit 1
+fi
+
 # The observability crate is the workspace's public-facing telemetry
 # API; its docs must build clean.
 echo "==> cargo doc -p alf-obs (warnings denied)"

@@ -2,7 +2,7 @@
 //!
 //! Each sub-crate keeps its own error as the source of truth
 //! ([`alf_tensor::ShapeError`], [`alf_serve::ServeError`],
-//! [`alf_data::DecodeDatasetError`], [`alf_hwmodel::MapperError`]); this
+//! [`alf_hwmodel::MapperError`]); this
 //! module only gives callers that work across crate boundaries — the
 //! `examples/` and integration tests here, or a downstream binary — one
 //! type to `?` into instead of stringifying or boxing at every seam.
@@ -46,8 +46,6 @@ pub enum Error {
     Serve(alf_serve::ServeError),
     /// The network front end failed to start or bind.
     Net(alf_net::NetError),
-    /// An encoded dataset blob failed to decode.
-    DecodeDataset(alf_data::DecodeDatasetError),
     /// The accelerator mapper found no feasible mapping.
     Mapper(alf_hwmodel::MapperError),
     /// An I/O failure around the stack — e.g. creating a telemetry
@@ -64,7 +62,6 @@ impl fmt::Display for Error {
             Error::Quant(e) => write!(f, "quantize: {e}"),
             Error::Serve(e) => e.fmt(f),
             Error::Net(e) => e.fmt(f),
-            Error::DecodeDataset(e) => e.fmt(f),
             Error::Mapper(e) => e.fmt(f),
             Error::Io(e) => e.fmt(f),
         }
@@ -78,7 +75,6 @@ impl std::error::Error for Error {
             Error::Quant(e) => Some(e),
             Error::Serve(e) => Some(e),
             Error::Net(e) => Some(e),
-            Error::DecodeDataset(e) => Some(e),
             Error::Mapper(e) => Some(e),
             Error::Io(e) => Some(e),
         }
@@ -126,12 +122,6 @@ impl From<alf_serve::ServeError> for Error {
 impl From<alf_net::NetError> for Error {
     fn from(e: alf_net::NetError) -> Self {
         Error::Net(e)
-    }
-}
-
-impl From<alf_data::DecodeDatasetError> for Error {
-    fn from(e: alf_data::DecodeDatasetError) -> Self {
-        Error::DecodeDataset(e)
     }
 }
 

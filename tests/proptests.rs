@@ -3,7 +3,6 @@
 use alf::baselines::api::chained_cost;
 use alf::core::autoencoder::WeightAutoencoder;
 use alf::core::{ConvShape, NetworkCost, PruneSchedule};
-use alf::data::{decode_dataset, encode_dataset, SynthVision};
 use alf::hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper};
 use alf::nn::activation::ActivationKind;
 use alf::nn::ste;
@@ -229,23 +228,6 @@ proptest! {
             prop_assert!(m[d] >= lo - 1e-3 && m[d] <= hi + 1e-3,
                          "dim {}: {} outside [{}, {}]", d, m[d], lo, hi);
         }
-    }
-
-    // ---- data ---------------------------------------------------------------
-
-    #[test]
-    fn dataset_encode_decode_round_trips(seed in 0u64..500, train in 1usize..12,
-                                         test in 1usize..8, classes in 1usize..5) {
-        let d = SynthVision::cifar_like(seed)
-            .with_image_size(8)
-            .with_max_shift(1)
-            .with_num_classes(classes)
-            .with_train_size(train)
-            .with_test_size(test)
-            .build()
-            .unwrap();
-        let decoded = decode_dataset(encode_dataset(&d)).unwrap();
-        prop_assert_eq!(d, decoded);
     }
 }
 
