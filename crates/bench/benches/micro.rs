@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the computational kernels underpinning
-//! the experiments: convolution, ALF block forward/backward, autoencoder
-//! steps, the mapping search, deployment stripping, and the `RunCtx`
-//! execution path (profiler overhead, evaluator replica reuse).
+//! the experiments: convolution and its im2col/col2im lowering, ALF block
+//! forward/backward, autoencoder steps, the mapping search, deployment
+//! stripping, and the `RunCtx` execution path (profiler overhead,
+//! evaluator replica reuse).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -15,7 +16,9 @@ use alf_hwmodel::{Accelerator, ConvWorkload, Dataflow, Mapper};
 use alf_nn::activation::ActivationKind;
 use alf_nn::{softmax_cross_entropy, Conv2d, Layer, RunCtx};
 use alf_tensor::init::Init;
-use alf_tensor::ops::{conv2d, matmul, reference, Conv2dSpec};
+use alf_tensor::ops::{
+    col2im_into, conv2d, im2col_i8_into, im2col_into, matmul, reference, Conv2dSpec,
+};
 use alf_tensor::rng::Rng;
 use alf_tensor::Tensor;
 
@@ -42,6 +45,79 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_16x32x32_b4", |bench| {
         bench.iter(|| conv2d(black_box(&x), black_box(&w), None, spec).unwrap())
     });
+}
+
+/// The lowering shapes: the `train` workload's stage-1 code conv (batch
+/// 32, 8 channels, 32×32, k3 s1 p1 → a 72×32768 column matrix) and a
+/// stride-2 entry conv on the same input, both 3×3 with pad 1.
+const LOWERING_STRIDES: [(&str, usize); 2] = [("k3s1p1", 1), ("k3s2p1", 2)];
+const LOWERING_INPUT: [usize; 4] = [32, 8, 32, 32];
+
+fn bench_im2col(c: &mut Criterion) {
+    let mut rng = Rng::new(8);
+    let [n, ci, h, w] = LOWERING_INPUT;
+    let x = Tensor::randn(&LOWERING_INPUT, Init::He, &mut rng);
+    let x8: Vec<i8> = x.data().iter().map(|v| (v * 64.0) as i8).collect();
+    for (name, stride) in LOWERING_STRIDES {
+        let spec = Conv2dSpec::new(3, stride, 1);
+        let (ho, wo) = spec.output_hw(h, w);
+        let len = ci * spec.kernel * spec.kernel * n * ho * wo;
+        let mut cols = vec![0.0f32; len];
+        c.bench_function(&format!("im2col/f32_b32c8_32x32_{name}"), |bench| {
+            bench.iter(|| im2col_into(black_box(&mut cols), black_box(&x), spec).unwrap())
+        });
+        // The per-tap loops the span lowering replaced, as the in-run
+        // baseline.
+        c.bench_function(
+            &format!("im2col/reference_f32_b32c8_32x32_{name}"),
+            |bench| {
+                bench.iter(|| {
+                    reference::im2col_into(black_box(&mut cols), x.data(), n, ci, h, w, spec)
+                })
+            },
+        );
+        let mut cols8 = vec![0i8; len];
+        c.bench_function(&format!("im2col/i8_b32c8_32x32_{name}"), |bench| {
+            bench.iter(|| im2col_i8_into(black_box(&mut cols8), black_box(&x8), n, ci, h, w, spec))
+        });
+    }
+}
+
+fn bench_col2im(c: &mut Criterion) {
+    let mut rng = Rng::new(9);
+    let [n, ci, h, w] = LOWERING_INPUT;
+    let mut gx = vec![0.0f32; n * ci * h * w];
+    for (name, stride) in LOWERING_STRIDES {
+        let spec = Conv2dSpec::new(3, stride, 1);
+        let (ho, wo) = spec.output_hw(h, w);
+        let cols = Tensor::randn(
+            &[ci * spec.kernel * spec.kernel, n * ho * wo],
+            Init::He,
+            &mut rng,
+        );
+        c.bench_function(&format!("col2im/f32_b32c8_32x32_{name}"), |bench| {
+            bench.iter(|| {
+                col2im_into(
+                    black_box(&mut gx),
+                    black_box(cols.data()),
+                    n,
+                    ci,
+                    h,
+                    w,
+                    spec,
+                )
+                .unwrap()
+            })
+        });
+        c.bench_function(
+            &format!("col2im/reference_f32_b32c8_32x32_{name}"),
+            |bench| {
+                bench.iter(|| {
+                    reference::col2im_into(black_box(&mut gx), cols.data(), n, ci, h, w, spec)
+                })
+            },
+        );
+    }
 }
 
 fn bench_conv_backward(c: &mut Criterion) {
@@ -199,4 +275,10 @@ criterion_group!(
     bench_mapper_search,
     bench_deploy
 );
-criterion_main!(benches);
+criterion_group!(
+    name = lowering;
+    config = Criterion::default().sample_size(40);
+    targets = bench_im2col,
+    bench_col2im
+);
+criterion_main!(benches, lowering);

@@ -230,7 +230,10 @@ impl Layer for Conv2d {
             ));
         }
         let [n, ci, h, w] = [dims[0], dims[1], dims[2], dims[3]];
-        let (ho, wo) = self.spec.output_hw(h, w);
+        let (ho, wo) = self
+            .spec
+            .try_output_hw(h, w)
+            .map_err(|e| ShapeError::new("conv2d forward", e.detail()))?;
         let k = self.spec.kernel;
         let rows = ci * k * k;
         let ncols = n * ho * wo;
@@ -463,6 +466,19 @@ mod tests {
             .forward(&Tensor::zeros(&[4, 3, 32, 32]), &mut ctx)
             .unwrap();
         assert_eq!(y.dims(), &[4, 8, 16, 16]);
+    }
+
+    #[test]
+    fn forward_rejects_input_smaller_than_kernel() {
+        // A 2x2 input cannot hold an unpadded 3x3 kernel: a typed error,
+        // not a panic in the output-size arithmetic.
+        let mut ctx = RunCtx::train();
+        let mut conv = Conv2d::new(2, 4, 3, 1, 0, false, Init::He, &mut Rng::new(0));
+        let err = conv
+            .forward(&Tensor::zeros(&[1, 2, 2, 2]), &mut ctx)
+            .unwrap_err();
+        assert_eq!(err.op(), "conv2d forward");
+        assert!(err.detail().contains("smaller than kernel"), "{err}");
     }
 
     #[test]

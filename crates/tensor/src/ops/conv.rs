@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::{ShapeError, Tensor};
 
 use super::matmul;
@@ -46,6 +48,22 @@ impl Conv2dSpec {
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         conv_output_hw(h, w, self.kernel, self.stride, self.pad)
     }
+
+    /// [`Conv2dSpec::output_hw`] as a typed error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the padded input is smaller than the kernel.
+    pub fn try_output_hw(&self, h: usize, w: usize) -> Result<(usize, usize), ShapeError> {
+        let (k, pad) = (self.kernel, self.pad);
+        if h + 2 * pad < k || w + 2 * pad < k {
+            return Err(ShapeError::new(
+                "conv output size",
+                format!("padded input {h}x{w} (+{pad}) smaller than kernel {k}"),
+            ));
+        }
+        Ok(self.output_hw(h, w))
+    }
 }
 
 /// Output spatial size of a convolution (`floor` convention).
@@ -73,84 +91,127 @@ pub fn conv_output_hw(h: usize, w: usize, k: usize, stride: usize, pad: usize) -
 ///
 /// # Errors
 ///
-/// Returns an error unless `input` is rank 4.
+/// Returns an error unless `input` is rank 4 and its padded size holds
+/// the kernel.
 pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor, ShapeError> {
     let [n, ci, h, w] = rank4("im2col", input)?;
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let mut out = Tensor::zeros(&[ci * k * k, n * ho * wo]);
-    im2col_into(out.data_mut(), input, spec)?;
+    let g = Lowering::new("im2col", n, ci, h, w, spec)?;
+    let mut out = Tensor::zeros(&[g.rows(), g.cols()]);
+    unfold(out.data_mut(), input.data(), &g);
     Ok(out)
 }
 
 /// [`im2col`] into a caller-owned buffer of exactly
 /// `ci·k·k · n·h_out·w_out` elements — the allocation-free variant the
-/// `alf-nn` conv layer uses with its per-layer workspace. The buffer is
-/// fully overwritten (zeroed first, since padding taps are never stored).
+/// `alf-nn` conv layer uses with its per-layer workspace. Every element
+/// of the buffer is written exactly once, padding taps as zero.
 ///
 /// # Errors
 ///
-/// Returns an error unless `input` is rank 4 and `dst` has the exact
-/// output length.
+/// Returns an error unless `input` is rank 4, its padded size holds the
+/// kernel and `dst` has the exact output length.
 pub fn im2col_into(dst: &mut [f32], input: &Tensor, spec: Conv2dSpec) -> Result<(), ShapeError> {
     let [n, ci, h, w] = rank4("im2col_into", input)?;
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let rows = ci * k * k;
-    let cols = n * ho * wo;
-    if dst.len() != rows * cols {
+    let g = Lowering::new("im2col_into", n, ci, h, w, spec)?;
+    if dst.len() != g.rows() * g.cols() {
         return Err(ShapeError::new(
             "im2col_into",
             format!(
                 "buffer has {} elements, expected {}x{}",
                 dst.len(),
-                rows,
-                cols
+                g.rows(),
+                g.cols()
             ),
         ));
     }
-    unfold(dst, input.data(), n, ci, h, w, spec);
+    unfold(dst, input.data(), &g);
     Ok(())
 }
 
-/// The im2col loop nest shared by the f32 ([`im2col_into`]) and int8
-/// ([`super::im2col_i8_into`]) lowerings: zeroes `dst` (padding taps are
-/// never stored), then copies every in-bounds tap of the `NCHW` buffer
-/// `src` into the `[ci·k·k, n·h_out·w_out]` column matrix. Callers check
-/// the buffer lengths.
-#[allow(clippy::too_many_arguments)] // the conv geometry, spelled out
-pub(super) fn unfold<T: Copy + Default>(
-    dst: &mut [T],
-    src: &[T],
+/// The checked geometry of one im2col or col2im call: an `NCHW` input of
+/// `n × ci × h × w` whose padded size holds the kernel, and the
+/// `h_out × w_out` output grid that implies.
+pub(super) struct Lowering {
     n: usize,
     ci: usize,
     h: usize,
     w: usize,
     spec: Conv2dSpec,
-) {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let cols = n * ho * wo;
-    dst.fill(T::default());
-    for b in 0..n {
-        for c in 0..ci {
-            let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (c * k + ky) * k + kx;
-                    for oy in 0..ho {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..wo {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let col = (b * ho + oy) * wo + ox;
-                            dst[row * cols + col] = plane[iy * w + ix as usize];
+    ho: usize,
+    wo: usize,
+}
+
+impl Lowering {
+    /// Checks the geometry once; the loops that walk it trust it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming `op` when the padded input is smaller than
+    /// the kernel.
+    pub(super) fn new(
+        op: &str,
+        n: usize,
+        ci: usize,
+        h: usize,
+        w: usize,
+        spec: Conv2dSpec,
+    ) -> Result<Self, ShapeError> {
+        let (ho, wo) = spec
+            .try_output_hw(h, w)
+            .map_err(|e| ShapeError::new(op, e.detail()))?;
+        Ok(Self {
+            n,
+            ci,
+            h,
+            w,
+            spec,
+            ho,
+            wo,
+        })
+    }
+
+    /// Rows of the column matrix: `ci·k·k`.
+    pub(super) fn rows(&self) -> usize {
+        self.ci * self.spec.kernel * self.spec.kernel
+    }
+
+    /// Columns of the column matrix: `n·h_out·w_out`.
+    pub(super) fn cols(&self) -> usize {
+        self.n * self.ho * self.wo
+    }
+
+    /// Elements of the `NCHW` input: `n·ci·h·w`.
+    pub(super) fn pixels(&self) -> usize {
+        self.n * self.ci * self.h * self.w
+    }
+
+    /// Visits every output row of every tap in `(b, c, ky, kx, oy)` order
+    /// as `f(at, xs, px)`: `at` indexes the column matrix at `(row, b, oy,
+    /// 0)`, `xs` is the `ox` span whose taps land inside the image, and
+    /// `px` indexes the `NCHW` input at the tap of `ox = xs.start` — `None`
+    /// when the whole row is padding. Live taps of a row are `stride`
+    /// apart in the input.
+    fn for_each_run(&self, mut f: impl FnMut(usize, Range<usize>, Option<usize>)) {
+        let Conv2dSpec {
+            kernel: k,
+            stride,
+            pad,
+        } = self.spec;
+        let (h, w, ho, wo) = (self.h, self.w, self.ho, self.wo);
+        let cols = self.cols();
+        for b in 0..self.n {
+            for c in 0..self.ci {
+                let plane = (b * self.ci + c) * h * w;
+                for ky in 0..k {
+                    let ys = live_span(ky, self.spec, h, ho);
+                    for kx in 0..k {
+                        let xs = live_span(kx, self.spec, w, wo);
+                        let first = ((c * k + ky) * k + kx) * cols + b * ho * wo;
+                        for oy in 0..ho {
+                            let px = (ys.contains(&oy) && !xs.is_empty()).then(|| {
+                                plane + (oy * stride + ky - pad) * w + xs.start * stride + kx - pad
+                            });
+                            f(first + oy * wo, xs.clone(), px);
                         }
                     }
                 }
@@ -159,14 +220,56 @@ pub(super) fn unfold<T: Copy + Default>(
     }
 }
 
+/// The half-open range of output positions `o < out` whose tap
+/// `o·stride + off − pad` lands in `0..len`. Empty ranges start at 0.
+fn live_span(off: usize, spec: Conv2dSpec, len: usize, out: usize) -> Range<usize> {
+    let Conv2dSpec { stride, pad, .. } = spec;
+    let lo = pad.saturating_sub(off).div_ceil(stride);
+    let hi = (len + pad).saturating_sub(off).div_ceil(stride).min(out);
+    if lo < hi {
+        lo..hi
+    } else {
+        0..0
+    }
+}
+
+/// The im2col loop nest shared by the f32 ([`im2col_into`]) and int8
+/// ([`super::im2col_i8_into`]) lowerings: copies every in-bounds tap of
+/// the `NCHW` buffer `src` into the `[ci·k·k, n·h_out·w_out]` column
+/// matrix `dst` and zeroes the padding taps, so each element of `dst` is
+/// written once. A stride-1 row is one slice copy. Callers check the
+/// buffer lengths.
+pub(super) fn unfold<T: Copy + Default>(dst: &mut [T], src: &[T], g: &Lowering) {
+    let (stride, wo) = (g.spec.stride, g.wo);
+    g.for_each_run(|at, xs, px| {
+        let row = &mut dst[at..at + wo];
+        let Some(px) = px else {
+            row.fill(T::default());
+            return;
+        };
+        row[..xs.start].fill(T::default());
+        row[xs.end..].fill(T::default());
+        let live = &mut row[xs];
+        if stride == 1 {
+            live.copy_from_slice(&src[px..px + live.len()]);
+        } else {
+            let taps = &src[px..px + (live.len() - 1) * stride + 1];
+            for (d, &s) in live.iter_mut().zip(taps.iter().step_by(stride)) {
+                *d = s;
+            }
+        }
+    });
+}
+
 /// Folds a column matrix back into an `NCHW` tensor, *accumulating*
 /// overlapping contributions — the adjoint of [`im2col`], used for the
 /// input-gradient of convolution.
 ///
 /// # Errors
 ///
-/// Returns an error when `cols` does not have the shape `im2col` would have
-/// produced for the given geometry.
+/// Returns an error when the padded input is smaller than the kernel or
+/// `cols` does not have the shape `im2col` would have produced for the
+/// given geometry.
 pub fn col2im(
     cols: &Tensor,
     n: usize,
@@ -175,9 +278,8 @@ pub fn col2im(
     w: usize,
     spec: Conv2dSpec,
 ) -> Result<Tensor, ShapeError> {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let expected = [ci * k * k, n * ho * wo];
+    let g = Lowering::new("col2im", n, ci, h, w, spec)?;
+    let expected = [g.rows(), g.cols()];
     if cols.dims() != expected {
         return Err(ShapeError::new(
             "col2im",
@@ -190,7 +292,7 @@ pub fn col2im(
         ));
     }
     let mut out = Tensor::zeros(&[n, ci, h, w]);
-    col2im_into(out.data_mut(), cols.data(), n, ci, h, w, spec)?;
+    fold(out.data_mut(), cols.data(), &g);
     Ok(out)
 }
 
@@ -200,8 +302,8 @@ pub fn col2im(
 ///
 /// # Errors
 ///
-/// Returns an error when either buffer length disagrees with the stated
-/// geometry.
+/// Returns an error when the padded input is smaller than the kernel or
+/// either buffer length disagrees with the stated geometry.
 pub fn col2im_into(
     dst: &mut [f32],
     cols: &[f32],
@@ -211,21 +313,19 @@ pub fn col2im_into(
     w: usize,
     spec: Conv2dSpec,
 ) -> Result<(), ShapeError> {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let ncols = n * ho * wo;
-    if cols.len() != ci * k * k * ncols {
+    let g = Lowering::new("col2im_into", n, ci, h, w, spec)?;
+    if cols.len() != g.rows() * g.cols() {
         return Err(ShapeError::new(
             "col2im_into",
             format!(
                 "cols has {} elements, expected {}x{}",
                 cols.len(),
-                ci * k * k,
-                ncols
+                g.rows(),
+                g.cols()
             ),
         ));
     }
-    if dst.len() != n * ci * h * w {
+    if dst.len() != g.pixels() {
         return Err(ShapeError::new(
             "col2im_into",
             format!(
@@ -234,34 +334,32 @@ pub fn col2im_into(
             ),
         ));
     }
+    fold(dst, cols, &g);
+    Ok(())
+}
+
+/// The col2im loop nest: zeroes `dst`, then adds every live tap of the
+/// column matrix `cols` into its input pixel. Each pixel accumulates its
+/// `(ky, kx)` contributions in row-major kernel order, as the per-element
+/// loops in [`super::reference::col2im_into`] do, so the sums are bitwise
+/// equal. Callers check the buffer lengths.
+fn fold(dst: &mut [f32], cols: &[f32], g: &Lowering) {
+    let stride = g.spec.stride;
     dst.fill(0.0);
-    let src = cols;
-    for b in 0..n {
-        for c in 0..ci {
-            let base = (b * ci + c) * h * w;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (c * k + ky) * k + kx;
-                    for oy in 0..ho {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..wo {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let col = (b * ho + oy) * wo + ox;
-                            dst[base + iy * w + ix as usize] += src[row * ncols + col];
-                        }
-                    }
-                }
+    g.for_each_run(|at, xs, px| {
+        let Some(px) = px else { return };
+        let live = &cols[at + xs.start..at + xs.end];
+        if stride == 1 {
+            for (d, &s) in dst[px..px + live.len()].iter_mut().zip(live) {
+                *d += s;
+            }
+        } else {
+            let taps = &mut dst[px..px + (live.len() - 1) * stride + 1];
+            for (d, &s) in taps.iter_mut().step_by(stride).zip(live) {
+                *d += s;
             }
         }
-    }
-    Ok(())
+    });
 }
 
 /// 2-D convolution forward pass: `NCHW` input, `[c_out, c_in, k, k]`
@@ -302,7 +400,9 @@ pub fn conv2d(
             ));
         }
     }
-    let (ho, wo) = spec.output_hw(h, w);
+    let (ho, wo) = spec
+        .try_output_hw(h, w)
+        .map_err(|e| ShapeError::new("conv2d", e.detail()))?;
     let cols = im2col(input, spec)?;
     let wmat = weight.reshape(&[co, ci * spec.kernel * spec.kernel])?;
     // [co, ci·k²] × [ci·k², n·ho·wo] → [co, n·ho·wo]
@@ -478,6 +578,32 @@ mod tests {
         assert!(im2col_into(&mut [0.0; 3], &x, spec).is_err());
         assert!(col2im_into(&mut [0.0; 16], &[0.0; 3], 1, 1, 4, 4, spec).is_err());
         assert!(col2im_into(&mut [0.0; 5], &[0.0; 144], 1, 1, 4, 4, spec).is_err());
+    }
+
+    #[test]
+    fn input_smaller_than_kernel_is_a_typed_error() {
+        // k3 p0 on a 1x1 (or 2x2) input: every entry point reports a
+        // ShapeError naming itself instead of panicking in conv_output_hw.
+        let spec = Conv2dSpec::new(3, 1, 0);
+        let x = Tensor::zeros(&[1, 1, 1, 1]);
+        let err = im2col_into(&mut [0.0; 9], &x, spec).unwrap_err();
+        assert_eq!(err.op(), "im2col_into");
+        assert!(err.detail().contains("smaller than kernel"), "{err}");
+        assert_eq!(im2col(&x, spec).unwrap_err().op(), "im2col");
+        let err = col2im_into(&mut [0.0; 1], &[], 1, 1, 1, 1, spec).unwrap_err();
+        assert_eq!(err.op(), "col2im_into");
+        assert!(err.detail().contains("smaller than kernel"), "{err}");
+        assert_eq!(
+            col2im(&Tensor::zeros(&[9, 1]), 1, 1, 1, 1, spec)
+                .unwrap_err()
+                .op(),
+            "col2im"
+        );
+        let wt = Tensor::zeros(&[4, 2, 3, 3]);
+        let err = conv2d(&Tensor::zeros(&[1, 2, 2, 2]), &wt, None, spec).unwrap_err();
+        assert_eq!(err.op(), "conv2d");
+        assert!(spec.try_output_hw(2, 2).is_err());
+        assert_eq!(spec.try_output_hw(3, 4).unwrap(), (1, 2));
     }
 
     #[test]

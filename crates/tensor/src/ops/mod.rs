@@ -21,10 +21,13 @@
 //! * [`qgemm`] is the int8 sibling: [`gemm_i8_into`] runs `i8×i8→i32`
 //!   products with the same panel-packing structure for the quantized
 //!   deployment path, and [`im2col_i8_into`] feeds it.
-//! * [`reference`] preserves the seed's naive kernels for differential
-//!   tests and as the benchmark baseline.
+//! * [`reference`] preserves the seed's naive kernels and the scalar
+//!   im2col/col2im loops for differential tests and as the benchmark
+//!   baseline.
 //! * [`im2col_into`] / [`col2im_into`] write into caller-owned buffers so
-//!   layer code can keep the whole conv step allocation-free.
+//!   layer code can keep the whole conv step allocation-free. They and
+//!   [`im2col_i8_into`] share one span-copy loop nest: each output row of
+//!   a tap moves as one contiguous (or strided) run.
 
 mod channels;
 mod conv;

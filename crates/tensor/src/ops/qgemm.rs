@@ -24,6 +24,7 @@
 //! driver partitions across workers — it, too, runs these shapes on one
 //! thread. Serving-level parallelism comes from replica workers instead.
 
+use super::conv::{unfold, Lowering};
 use super::gemm::{KC, MC, NC};
 use super::workspace::Workspace;
 use super::Conv2dSpec;
@@ -142,7 +143,8 @@ fn pack_b_i8(bpack: &mut [f32], b: &[i8], n: usize, p0: usize, kc: usize, j0: us
 ///
 /// # Panics
 ///
-/// Panics when a buffer length disagrees with the stated geometry.
+/// Panics when the padded input is smaller than the kernel or a buffer
+/// length disagrees with the stated geometry.
 #[allow(clippy::too_many_arguments)] // mirrors the f32 im2col geometry args
 pub fn im2col_i8_into(
     dst: &mut [i8],
@@ -153,13 +155,14 @@ pub fn im2col_i8_into(
     w: usize,
     spec: Conv2dSpec,
 ) {
-    let (ho, wo) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let rows = ci * k * k;
-    let cols = n * ho * wo;
-    assert_eq!(src.len(), n * ci * h * w, "im2col_i8: bad input length");
-    assert_eq!(dst.len(), rows * cols, "im2col_i8: bad buffer length");
-    super::conv::unfold(dst, src, n, ci, h, w, spec);
+    let g = Lowering::new("im2col_i8_into", n, ci, h, w, spec).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(src.len(), g.pixels(), "im2col_i8: bad input length");
+    assert_eq!(
+        dst.len(),
+        g.rows() * g.cols(),
+        "im2col_i8: bad buffer length"
+    );
+    unfold(dst, src, &g);
 }
 
 #[cfg(test)]

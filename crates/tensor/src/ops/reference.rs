@@ -1,23 +1,31 @@
-//! Seed matmul kernels, preserved as the reference implementations.
+//! Seed matmul kernels and the per-element conv lowering loops,
+//! preserved as the reference implementations.
 //!
-//! These are the exact loop nests the repo shipped with before the
+//! The matmuls are the exact loop nests the repo shipped with before the
 //! blocked GEMM landed ([`super::gemm`]): single-threaded, no packing, no
 //! tiling, and — in the non-transposed variants — an unconditional
-//! `av == 0.0` skip in the inner loop. They exist for two reasons:
+//! `av == 0.0` skip in the inner loop. [`im2col_into`] and
+//! [`col2im_into`] are the scalar loops the lowering ran before it moved
+//! whole spans ([`super::im2col_into`], [`super::col2im_into`]): one
+//! bounds-checked element per tap, after a whole-buffer zero fill. They
+//! exist for two reasons:
 //!
 //! 1. **Differential testing.** The blocked kernel is property-tested
 //!    against these across randomized shapes; any divergence beyond
-//!    accumulation-order rounding is a kernel bug.
+//!    accumulation-order rounding is a kernel bug. The span lowering
+//!    must match the scalar loops bit for bit.
 //! 2. **Benchmark baseline.** `BENCH_gemm.json` reports the blocked
 //!    kernel's speedup over these loops, so the baseline must stay
 //!    byte-for-byte what the seed ran.
 //!
-//! Do not "optimise" this module; route performance work through
-//! [`super::gemm`] instead.
+//! Nothing dispatches here at runtime. Do not "optimise" this module;
+//! route performance work through [`super::gemm`] and `super::conv`
+//! instead.
 
 use crate::{ShapeError, Tensor};
 
 use super::matmul::dims_for;
+use super::Conv2dSpec;
 
 /// Seed `C = A · B`: `i-k-j` loop order with a zero-skip on `A` elements.
 ///
@@ -101,6 +109,103 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
         }
     }
     Ok(out)
+}
+
+/// Scalar im2col: zeroes `dst`, then stores every in-bounds tap of the
+/// `NCHW` buffer `src` into the `[ci·k·k, n·h_out·w_out]` column matrix
+/// one element at a time.
+///
+/// # Panics
+///
+/// Panics when the padded input is smaller than the kernel or a buffer
+/// is shorter than the geometry needs.
+#[allow(clippy::too_many_arguments)] // the conv geometry, spelled out
+pub fn im2col_into<T: Copy + Default>(
+    dst: &mut [T],
+    src: &[T],
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+) {
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let cols = n * ho * wo;
+    dst.fill(T::default());
+    for b in 0..n {
+        for c in 0..ci {
+            let plane = &src[(b * ci + c) * h * w..(b * ci + c + 1) * h * w];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    for oy in 0..ho {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..wo {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let col = (b * ho + oy) * wo + ox;
+                            dst[row * cols + col] = plane[iy * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Scalar col2im: zeroes the `NCHW` buffer `dst`, then adds every
+/// in-bounds tap of the column matrix `src` into its pixel one element at
+/// a time, in `(b, c, ky, kx, oy, ox)` order.
+///
+/// # Panics
+///
+/// Panics when the padded input is smaller than the kernel or a buffer
+/// is shorter than the geometry needs.
+pub fn col2im_into(
+    dst: &mut [f32],
+    src: &[f32],
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+) {
+    let (ho, wo) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let ncols = n * ho * wo;
+    dst.fill(0.0);
+    for b in 0..n {
+        for c in 0..ci {
+            let base = (b * ci + c) * h * w;
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    for oy in 0..ho {
+                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..wo {
+                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let col = (b * ho + oy) * wo + ox;
+                            dst[base + iy * w + ix as usize] += src[row * ncols + col];
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -222,6 +222,30 @@ if grep -rnE 'bytes::(\{[^}]*\bBuf\b|Buf\b)|Bytes::copy_from_slice' crates --inc
   exit 1
 fi
 
+# The conv lowering is one loop nest (alf_tensor::ops::conv: `unfold`
+# and the span walk it shares with col2im), used alike by f32 training,
+# the f32 deploy path and int8 serving. A second `fn unfold`, or a kernel
+# tap loop (`for ky in` / `for kx in`) in non-test code outside that walk
+# and ops/reference.rs (the scalar loops kept for differential tests),
+# means a caller regrew its own im2col that can drift from the bitwise
+# contract.
+echo "==> one conv lowering loop"
+unfold_defs=$(grep -rnw "fn unfold" crates --include='*.rs' | wc -l)
+if [ "$unfold_defs" -ne 1 ]; then
+  grep -rnw "fn unfold" crates --include='*.rs' || true
+  echo "FAIL: expected exactly 1 unfold definition, found $unfold_defs"
+  exit 1
+fi
+tap_loops=$(find crates -name '*.rs' ! -path 'crates/tensor/src/ops/reference.rs' \
+  -exec awk '/#\[cfg\(test\)\]/ { nextfile } /for k[xy] in / { print FILENAME ":" FNR ": " $0 }' {} +)
+stray_loops=$(printf '%s\n' "$tap_loops" | grep -v '^crates/tensor/src/ops/conv.rs:' || true)
+conv_loops=$(printf '%s\n' "$tap_loops" | grep -c '^crates/tensor/src/ops/conv.rs:' || true)
+if [ -n "$stray_loops" ] || [ "$conv_loops" -ne 2 ]; then
+  printf '%s\n' "$tap_loops"
+  echo "FAIL: expected one ky/kx tap walk (in ops/conv.rs) outside ops/reference.rs"
+  exit 1
+fi
+
 # The observability crate is the workspace's public-facing telemetry
 # API; its docs must build clean.
 echo "==> cargo doc -p alf-obs (warnings denied)"

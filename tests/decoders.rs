@@ -1,13 +1,13 @@
 //! Every decoder of outside bytes, fed hostile input.
 //!
 //! Checkpoints (v1 and v2), dist protocol messages (every tag), encoded
-//! gradients (dense and sparse segments), the campaign manifest and the
-//! dist frame reader each get every truncation and every single-bit flip
-//! of a valid seed blob, seeded random byte strings, and hand-built
-//! probes that claim huge counts. Each call must return `Ok` or the
-//! decoder's typed error — never panic or abort — and a counting global
-//! allocator checks that its peak heap growth stays within
-//! `32 × input + 1 MiB`.
+//! gradients (dense and sparse segments), the campaign manifest, the
+//! HTTP request parser and the dist frame reader each get every
+//! truncation and every single-bit flip of a valid seed blob, seeded
+//! random byte strings, and hand-built probes that claim huge counts or
+//! lengths. Each call must return `Ok` or the decoder's typed error —
+//! never panic or abort — and a counting global allocator checks that
+//! its peak heap growth stays within `32 × input + 1 MiB`.
 //!
 //! The allocator counters are process-wide, so the cases run serially
 //! under one lock and each measured peak belongs to one call.
@@ -30,6 +30,7 @@ use alf::dist::{
     decode_grad, DistError, FrameStream, GradLayout, Message, WireMetrics, MAGIC, MAX_FRAME,
 };
 use alf::lab::campaign::{CampaignError, JobRecord, ManifestFile, RecordStatus};
+use alf::net::{HttpError, HttpLimits, RequestParser};
 use alf::nn::activation::ActivationKind;
 use alf::nn::layer::Layer;
 use alf::nn::linear::Linear;
@@ -437,6 +438,73 @@ fn manifest_cases() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Feeds `stream` to one parser, as a keep-alive connection would, until
+/// every byte is consumed or the parser rejects it. Returns the number of
+/// completed requests and the rejection, if any.
+fn parse_stream(stream: &[u8]) -> (usize, Option<HttpError>) {
+    let mut parser = RequestParser::new(HttpLimits::default());
+    let (mut at, mut requests) = (0, 0);
+    while at < stream.len() {
+        match parser.feed(&stream[at..]) {
+            Ok((used, done)) => {
+                assert!(used > 0, "feed made no progress at byte {at}");
+                at += used;
+                requests += usize::from(done.is_some());
+            }
+            Err(e) => return (requests, Some(e)),
+        }
+    }
+    (requests, None)
+}
+
+fn http_cases() {
+    // Two pipelined keep-alive requests: a predict with a body, then a
+    // bodyless GET.
+    let seed: &[u8] = b"POST /v1/models/m/predict HTTP/1.1\r\nhost: localhost\r\n\
+        content-length: 12\r\nx-request-id: 7\r\n\r\n0123456789ab\
+        GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n";
+    // Returns whether the stream was rejected.
+    let check = |what: &str, stream: &[u8]| {
+        let (requests, err) = bounded(what, stream.len(), || parse_stream(stream));
+        assert!(
+            requests <= 2,
+            "{what}: {requests} requests from the seed's bytes"
+        );
+        if let Some(e) = &err {
+            let (status, _) = e.status();
+            assert!((400..=505).contains(&status), "{what}: {e} -> {status}");
+        }
+        err.is_some()
+    };
+    assert_eq!(parse_stream(seed), (2, None));
+    for cut in 0..seed.len() {
+        assert!(!check("truncation", &seed[..cut]), "a prefix was rejected");
+    }
+    hostile(seed, 50, &check);
+    // Huge declared lengths: past usize, at usize::MAX, one past the body
+    // bound, and exactly at it (the largest reservation a request can make).
+    // Chunk sizes past any integer width behind `transfer-encoding`.
+    let huge = |value: &str| format!("POST /p HTTP/1.1\r\ncontent-length: {value}\r\n\r\n");
+    let max_body = HttpLimits::default().max_body_bytes;
+    for (probe, rejected) in [
+        (huge("99999999999999999999999999"), true),
+        (huge(&usize::MAX.to_string()), true),
+        (huge(&(max_body + 1).to_string()), true),
+        (huge(&max_body.to_string()), false),
+        (
+            "POST /p HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\nffffffffffffffffffff\r\n".into(),
+            true,
+        ),
+        (
+            "POST /p HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n7fffffff\r\nab".into(),
+            true,
+        ),
+        ("G".repeat(8 << 10), true),
+    ] {
+        assert_eq!(check("probe", probe.as_bytes()), rejected, "{probe:.60}");
+    }
+}
+
 fn dist_frame_case() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -465,6 +533,7 @@ fn decoders_return_typed_errors_within_the_allocation_bound() {
     protocol_cases();
     codec_cases();
     manifest_cases();
+    http_cases();
 }
 
 #[test]

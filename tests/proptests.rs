@@ -395,3 +395,70 @@ proptest! {
                      "folded output diverges (depth {depth}, side {side})");
     }
 }
+
+// ---- span conv lowering vs the scalar loops ---------------------------------
+//
+// im2col (f32 and i8) and col2im move whole spans of a row; the per-tap
+// loops they replaced live on in `reference`. Each case sweeps every
+// kernel {1,2,3,5} × stride {1,2,3} × pad 0..=3 (pad at or past the
+// kernel included) over a random h × w in 1..=13, and the outputs must be
+// bitwise equal. Destinations start as sentinels, so a padding tap the
+// span code forgets to zero shows up; geometries whose padded input
+// cannot hold the kernel must be typed errors.
+
+/// Index of the first element whose bits differ, if any.
+fn first_diff<T: Copy>(a: &[T], b: &[T], bits: impl Fn(T) -> u32) -> Option<usize> {
+    assert_eq!(a.len(), b.len());
+    a.iter().zip(b).position(|(&x, &y)| bits(x) != bits(y))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn span_lowering_is_bitwise_equal_to_scalar_loops(
+        seed in 0u64..1000, n in 1usize..3, ci in 1usize..3, h in 1usize..14, w in 1usize..14) {
+        use alf::tensor::ops::{col2im_into, im2col_i8_into, im2col_into};
+
+        let mut rng = Rng::new(seed);
+        let x = Tensor::randn(&[n, ci, h, w], Init::Rand, &mut rng);
+        let x8: Vec<i8> = x.data().iter().map(|v| (v * 127.0) as i8).collect();
+        for k in [1, 2, 3, 5] {
+            for stride in [1, 2, 3] {
+                for pad in 0..4 {
+                    let spec = Conv2dSpec::new(k, stride, pad);
+                    if h + 2 * pad < k || w + 2 * pad < k {
+                        prop_assert!(im2col_into(&mut [], &x, spec).is_err());
+                        prop_assert!(col2im_into(&mut [], &[], n, ci, h, w, spec).is_err());
+                        continue;
+                    }
+                    let (ho, wo) = spec.output_hw(h, w);
+                    let len = ci * k * k * n * ho * wo;
+                    let at = format!("k{k} s{stride} p{pad} {n}x{ci}x{h}x{w}");
+
+                    let mut fast = vec![7.5f32; len];
+                    let mut slow = vec![-3.25f32; len];
+                    im2col_into(&mut fast, &x, spec).unwrap();
+                    reference::im2col_into(&mut slow, x.data(), n, ci, h, w, spec);
+                    let diff = first_diff(&fast, &slow, f32::to_bits);
+                    prop_assert!(diff.is_none(), "f32 im2col {at}: element {diff:?}");
+
+                    let mut fast8 = vec![7i8; len];
+                    let mut slow8 = vec![-3i8; len];
+                    im2col_i8_into(&mut fast8, &x8, n, ci, h, w, spec);
+                    reference::im2col_into(&mut slow8, &x8, n, ci, h, w, spec);
+                    let diff = first_diff(&fast8, &slow8, |v| v as u8 as u32);
+                    prop_assert!(diff.is_none(), "i8 im2col {at}: element {diff:?}");
+
+                    let cols = Tensor::randn(&[len], Init::Rand, &mut rng);
+                    let mut fast = vec![7.5f32; x.len()];
+                    let mut slow = vec![-3.25f32; x.len()];
+                    col2im_into(&mut fast, cols.data(), n, ci, h, w, spec).unwrap();
+                    reference::col2im_into(&mut slow, cols.data(), n, ci, h, w, spec);
+                    let diff = first_diff(&fast, &slow, f32::to_bits);
+                    prop_assert!(diff.is_none(), "col2im {at}: element {diff:?}");
+                }
+            }
+        }
+    }
+}
